@@ -12,6 +12,7 @@ import json
 import sys
 
 from . import covers, kernel, realizability
+from .kleene import Diverged, KApp, KNum, KVar
 from .syntax import (
     CtDirective, SyntaxError_, TypeEq, TypeWF, TermEq, TermOf, parse,
     parse_file, to_src,
@@ -69,7 +70,7 @@ def cmd_eval(args, out) -> int:
     t = _parse_term_arg(args)
     try:
         result = kernel.whnf(t, fuel=args.fuel)
-    except kernel.FuelExhausted:
+    except Diverged:
         _emit(out, {"verdict": "fuel",
                     "text": f"no weak-head normal form within {args.fuel} steps"},
               args.structured)
@@ -83,7 +84,7 @@ def cmd_realize(args, out) -> int:
     t = _parse_term_arg(args)
     try:
         r = realizability.realize(t, fuel=args.fuel)
-    except realizability.Diverged:
+    except Diverged:
         _emit(out, {"verdict": "fuel", "text": "interpretation diverged "
                     f"within {args.fuel} steps"}, args.structured)
         return EXIT_FAIL
@@ -97,7 +98,6 @@ def cmd_realize(args, out) -> int:
 
 
 def _kterm_src(t) -> str:
-    from .kleene import KApp, KNum, KVar
     if isinstance(t, KNum):
         return str(t.value)
     if isinstance(t, KVar):
@@ -126,17 +126,12 @@ def cmd_cover(args, out) -> int:
         raise SystemExit2(str(e))
     if args.query:
         try:
-            words = args.query.split()
-            cut = words.index("<|")
-            queries.append((words[0], frozenset(words[cut + 1:])))
-        except ValueError:
-            raise SystemExit2("--query must look like 'a <| b c'")
+            queries.append(covers.parse_query(args.query.split(), ax.carrier))
+        except covers.SchemaError as e:
+            raise SystemExit2(f"--query: {e}")
     failures = 0
     for elem, v in queries:
-        try:
-            sat = covers.saturate(ax, v)
-        except ValueError as e:
-            raise SystemExit2(str(e))
+        sat = covers.saturate(ax, v)
         covered = elem in sat
         if not covered:
             failures += 1

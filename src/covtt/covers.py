@@ -37,9 +37,6 @@ class FiniteAxiomSet:
                 if not self.cover[(a, j)] <= self.carrier:
                     raise ValueError(f"C({a!r}, {j!r}) leaves the carrier")
 
-    def axioms_of(self, a):
-        return [(j, self.cover[(a, j)]) for j in sorted(self.index[a], key=repr)]
-
 
 def saturate(ax: FiniteAxiomSet, v: frozenset) -> frozenset:
     """The closure Cov(V): least superset of V closed under the axioms."""
@@ -152,20 +149,15 @@ def quotient_transform(qd: QuotientData, ax: FiniteAxiomSet) -> FiniteAxiomSet:
     classes = qd.classes()
     if ax.carrier != classes:
         raise ValueError("the axiom set is not over the quotient's classes")
+    # pull every axiom back along b |-> [b], then identify related points
     index = {}
     cover = {}
     for b in qd.carrier:
         cls = qd.class_of(b)
-        js = set()
+        index[b] = ax.index[cls]
         for j in ax.index[cls]:
-            js.add(("i", j))
-            cover[(b, ("i", j))] = es(qd, ax.cover[(cls, j)])
-        for y in qd.carrier:
-            if (b, y) in qd.rel:
-                js.add(("eq", y))
-                cover[(b, ("eq", y))] = frozenset((y,))
-        index[b] = frozenset(js)
-    return FiniteAxiomSet(qd.carrier, index, cover)
+            cover[(b, j)] = es(qd, ax.cover[(cls, j)])
+    return eq_relation_transform(FiniteAxiomSet(qd.carrier, index, cover), qd.rel)
 
 
 def _fixpoints(ax: FiniteAxiomSet) -> list[frozenset]:
@@ -387,16 +379,7 @@ def parse_axiom_file(text: str) -> tuple[FiniteAxiomSet, list[tuple]]:
                 raise SchemaError(f"index {j!r} not declared for {elem!r}", lineno)
             cover[(elem, j)] = frozenset(members)
         elif kind == "query":
-            if "<|" not in rest:
-                raise SchemaError("expected 'query ELEM <| MEMBERS...'", lineno)
-            cut = rest.index("<|")
-            if cut != 1:
-                raise SchemaError("exactly one element before '<|'", lineno)
-            elem, members = rest[0], rest[2:]
-            for m in [elem] + members:
-                if m not in carrier:
-                    raise SchemaError(f"unknown element {m!r}", lineno)
-            queries.append((elem, frozenset(members)))
+            queries.append(parse_query(rest, carrier, lineno))
         else:
             raise SchemaError(f"unknown directive {kind!r}", lineno)
     try:
@@ -406,6 +389,19 @@ def parse_axiom_file(text: str) -> tuple[FiniteAxiomSet, list[tuple]]:
     except ValueError as e:
         raise SchemaError(str(e)) from None
     return ax, queries
+
+
+def parse_query(words: list[str], carrier, lineno: int = 0) -> tuple:
+    """Parse the words of 'ELEM <| MEMBERS...' against a declared carrier."""
+    if "<|" not in words:
+        raise SchemaError("expected 'query ELEM <| MEMBERS...'", lineno)
+    if words.index("<|") != 1:
+        raise SchemaError("exactly one element before '<|'", lineno)
+    elem, members = words[0], words[2:]
+    for m in [elem] + members:
+        if m not in carrier:
+            raise SchemaError(f"unknown element {m!r}", lineno)
+    return elem, frozenset(members)
 
 
 def parse_relation_file(text: str) -> tuple[frozenset, frozenset]:

@@ -20,6 +20,7 @@ import dataclasses
 from contextlib import contextmanager
 from dataclasses import dataclass
 
+from .kleene import DEFAULT_FUEL, Budget, Diverged
 from .syntax import _SIG  # field signatures drive the congruence recursion
 from .syntax import (
     Ap, BVar, Context, Cons, CovHat, EmptyRec, FVar, IdHat, IdPeel, Ind, Inl,
@@ -30,13 +31,7 @@ from .syntax import (
     fresh_name, instantiate, pi_, substitute, to_src,
 )
 
-DEFAULT_FUEL = 10 ** 6
-
 Whnf = PreTerm
-
-
-class FuelExhausted(Exception):
-    pass
 
 
 class CheckFailure(Exception):
@@ -68,18 +63,6 @@ def _premise(rule: str, what: str):
         yield
     except CheckFailure as e:
         raise CheckFailure(rule, f"{what}: {e.msg}") from None
-
-
-class _Fuel:
-    __slots__ = ("steps",)
-
-    def __init__(self, steps: int):
-        self.steps = steps
-
-    def tick(self):
-        if self.steps <= 0:
-            raise FuelExhausted("weak-head step limit reached")
-        self.steps -= 1
 
 
 # ---------------------------------------------------------------------------
@@ -129,12 +112,11 @@ def _contract(frame: PreTerm, head: PreTerm) -> PreTerm | None:
 
 
 def whnf(t: PreTerm, fuel: int = DEFAULT_FUEL) -> Whnf:
-    """Leftmost-outermost weak-head normal form; raises FuelExhausted."""
-    budget = _Fuel(fuel)
-    return _whnf(t, budget)
+    """Leftmost-outermost weak-head normal form; raises Diverged."""
+    return _whnf(t, Budget(fuel))
 
 
-def _whnf(t: PreTerm, budget: _Fuel) -> PreTerm:
+def _whnf(t: PreTerm, budget: Budget) -> PreTerm:
     spine: list[PreTerm] = []
     cur = t
     while True:
@@ -176,7 +158,7 @@ def whnf_step(t: PreTerm) -> PreTerm | None:
     return None
 
 
-def whnf_type(a: PreTerm, budget: _Fuel) -> PreTerm:
+def whnf_type(a: PreTerm, budget: Budget) -> PreTerm:
     """Head normal form of a pretype; decodes T(code) one former at a time."""
     while isinstance(a, TDec):
         code = _whnf(a.code, budget)
@@ -207,7 +189,7 @@ def whnf_type(a: PreTerm, budget: _Fuel) -> PreTerm:
 # Algorithmic equality
 # ---------------------------------------------------------------------------
 
-def _eq_type(ctx: Context, a: PreTerm, b: PreTerm, budget: _Fuel) -> None:
+def _eq_type(ctx: Context, a: PreTerm, b: PreTerm, budget: Budget) -> None:
     wa = whnf_type(a, budget)
     wb = whnf_type(b, budget)
     if type(wa) is not type(wb):
@@ -234,7 +216,7 @@ def _eq_type(ctx: Context, a: PreTerm, b: PreTerm, budget: _Fuel) -> None:
             raise AssertionError(f"non-type head {wa!r}")
 
 
-def _eq_term_in(ctx: Context, a: PreTerm, b: PreTerm, budget: _Fuel) -> None:
+def _eq_term_in(ctx: Context, a: PreTerm, b: PreTerm, budget: Budget) -> None:
     wa = _whnf(a, budget)
     wb = _whnf(b, budget)
     if type(wa) is not type(wb):
@@ -262,34 +244,33 @@ def _eq_term_in(ctx: Context, a: PreTerm, b: PreTerm, budget: _Fuel) -> None:
                            f"are not alpha-equal")
 
 
-def check_eq_type(ctx: Context, a: PreTerm, b: PreTerm,
-                  fuel: int = DEFAULT_FUEL) -> CheckResult:
+def _run(rule, fuel: int, *args) -> CheckResult:
+    """Run one judgment rule on a fresh budget and report its verdict."""
     try:
-        _eq_type(ctx, a, b, _Fuel(fuel))
+        rule(*args, Budget(fuel))
         return CheckResult.ok()
     except CheckFailure as e:
         return CheckResult.fail(e)
-    except FuelExhausted as e:
-        return CheckResult(False, "fuel", str(e))
+    except Diverged:
+        return CheckResult(False, "fuel", "weak-head step limit reached")
+
+
+def check_eq_type(ctx: Context, a: PreTerm, b: PreTerm,
+                  fuel: int = DEFAULT_FUEL) -> CheckResult:
+    return _run(_eq_type, fuel, ctx, a, b)
 
 
 def check_eq_term(ctx: Context, a: PreTerm, b: PreTerm, ty: PreTerm,
                   fuel: int = DEFAULT_FUEL) -> CheckResult:
     """Both terms are assumed to check against ty (the caller's obligation)."""
-    try:
-        _eq_term_in(ctx, a, b, _Fuel(fuel))
-        return CheckResult.ok()
-    except CheckFailure as e:
-        return CheckResult.fail(e)
-    except FuelExhausted as e:
-        return CheckResult(False, "fuel", str(e))
+    return _run(_eq_term_in, fuel, ctx, a, b)
 
 
 # ---------------------------------------------------------------------------
 # Type formation
 # ---------------------------------------------------------------------------
 
-def _wf_type(ctx: Context, a: PreTerm, budget: _Fuel) -> None:
+def _wf_type(ctx: Context, a: PreTerm, budget: Budget) -> None:
     match a:
         case TN0() | TN1() | TN() | TU0():
             return
@@ -324,7 +305,7 @@ def _wf_type(ctx: Context, a: PreTerm, budget: _Fuel) -> None:
 # Term checking and inference
 # ---------------------------------------------------------------------------
 
-def _axcov(ctx: Context, s, i, c, i_hint, c_hints, budget: _Fuel) -> None:
+def _axcov(ctx: Context, s, i, c, i_hint, c_hints, budget: Budget) -> None:
     """The shared premises of the cover rules: axcov(s, i, c)."""
     with _premise("F-cov", "carrier code s"):
         _check(ctx, s, TU0(), budget)
@@ -341,7 +322,7 @@ def _axcov(ctx: Context, s, i, c, i_hint, c_hints, budget: _Fuel) -> None:
                arrow(TDec(s), TU0()), budget)
 
 
-def _infer(ctx: Context, t: PreTerm, budget: _Fuel) -> PreTerm:
+def _infer(ctx: Context, t: PreTerm, budget: Budget) -> PreTerm:
     match t:
         case FVar(name):
             ty = ctx.lookup(name)
@@ -409,7 +390,7 @@ def _cover_at(g: TDec, elem: PreTerm) -> TDec:
                        cov.idx_hint, cov.cov_hints))
 
 
-def _check(ctx: Context, t: PreTerm, goal: PreTerm, budget: _Fuel) -> None:
+def _check(ctx: Context, t: PreTerm, goal: PreTerm, budget: Budget) -> None:
     g = whnf_type(goal, budget)
     match t:
         case Lam(body):
@@ -499,7 +480,7 @@ def _motive(goal: PreTerm, scrut: PreTerm, var: str) -> PreTerm:
     return abstract_out(goal, scrut, var)
 
 
-def _check_elim(ctx: Context, t: PreTerm, goal: PreTerm, budget: _Fuel) -> None:
+def _check_elim(ctx: Context, t: PreTerm, goal: PreTerm, budget: Budget) -> None:
     match t:
         case NatRec(n, z, s):
             with _premise("N-E", "scrutinee"):
@@ -630,7 +611,7 @@ def _check_elim(ctx: Context, t: PreTerm, goal: PreTerm, budget: _Fuel) -> None:
             raise AssertionError(type(t))
 
 
-def _infer_scrut(ctx: Context, c: PreTerm, rule: str, budget: _Fuel) -> PreTerm:
+def _infer_scrut(ctx: Context, c: PreTerm, rule: str, budget: Budget) -> PreTerm:
     try:
         return _infer(ctx, c, budget)
     except CheckFailure as e:
@@ -643,24 +624,12 @@ def _infer_scrut(ctx: Context, c: PreTerm, rule: str, budget: _Fuel) -> PreTerm:
 # ---------------------------------------------------------------------------
 
 def check_type(ctx: Context, a: PreTerm, fuel: int = DEFAULT_FUEL) -> CheckResult:
-    try:
-        _wf_type(ctx, a, _Fuel(fuel))
-        return CheckResult.ok()
-    except CheckFailure as e:
-        return CheckResult.fail(e)
-    except FuelExhausted as e:
-        return CheckResult(False, "fuel", str(e))
+    return _run(_wf_type, fuel, ctx, a)
 
 
 def check_term(ctx: Context, t: PreTerm, a: PreTerm,
                fuel: int = DEFAULT_FUEL) -> CheckResult:
-    try:
-        _check(ctx, t, a, _Fuel(fuel))
-        return CheckResult.ok()
-    except CheckFailure as e:
-        return CheckResult.fail(e)
-    except FuelExhausted as e:
-        return CheckResult(False, "fuel", str(e))
+    return _run(_check, fuel, ctx, t, a)
 
 
 def check_context(ctx: Context, fuel: int = DEFAULT_FUEL) -> CheckResult:

@@ -93,17 +93,6 @@ def unpair1(k: int) -> int:
     return unpair(k)[1]
 
 
-def pair3(a: int, b: int, c: int) -> int:
-    return pair(pair(a, b), c)
-
-
-def pair_many(*xs: int) -> int:
-    acc = xs[0]
-    for x in xs[1:]:
-        acc = pair(acc, x)
-    return acc
-
-
 def snoc(lst: int, a: int) -> int:
     return pair(lst, a) + 1
 
@@ -197,13 +186,16 @@ def _app(f: _Expr, *xs: _Expr) -> _Expr:
     return f
 
 
-def _eval_expr(expr: _Expr, budget: Budget) -> int:
+def _eval_expr(expr: _Expr, budget: Budget | int) -> int:
     """Evaluate an application tree without growing the Python stack.
 
     Control stack frames: ("ev", expr) evaluates an expression, ("ap",)
     applies the two topmost values, ("mu", f, m) resumes an unbounded
     search, ("tr", e, x, steps0) wraps a finished sub-run into a trace.
+    An int budget is a fresh step allowance.
     """
+    if isinstance(budget, int):
+        budget = Budget(budget)
     control: list[tuple] = [("ev", expr)]
     values: list[int] = []
     while control:
@@ -281,7 +273,7 @@ def _eval_expr(expr: _Expr, budget: Budget) -> int:
                 if mtag == 7:               # rf-proof: payload = pair(z, r)
                     z, r = unpair(payload)
                     control.append(("ev", _app(q1, z, r)))
-                elif mtag == 8:             # tr-proof: payload = pair3(z, j, r)
+                elif mtag == 8:             # tr-proof: payload = pair(pair(z, j), r)
                     zj, r = unpair(payload)
                     z, j = unpair(zj)
                     aux = _to_expr(c2_aux_term(KNum(q1), KNum(q2), KNum(r)), {})
@@ -315,14 +307,10 @@ def _eval_expr(expr: _Expr, budget: Budget) -> int:
 
 def apply(e: int, n: int, budget: Budget | int = DEFAULT_FUEL) -> int:
     """Kleene application {e}(n); raises Diverged on fuel exhaustion."""
-    if isinstance(budget, int):
-        budget = Budget(budget)
     return _eval_expr(("app", e, n), budget)
 
 
 def apply_many(e: int, *ns: int, budget: Budget | int = DEFAULT_FUEL) -> int:
-    if isinstance(budget, int):
-        budget = Budget(budget)
     return _eval_expr(_app(e, *ns), budget)
 
 
@@ -420,8 +408,6 @@ def _to_expr(t: KTerm, env: dict[str, int]) -> _Expr:
 def eval_kterm(t: KTerm, env: dict[str, int] | None = None,
                budget: Budget | int = DEFAULT_FUEL) -> int:
     """Evaluate a closed applicative term (env supplies the free variables)."""
-    if isinstance(budget, int):
-        budget = Budget(budget)
     return _eval_expr(_to_expr(t, env or {}), budget)
 
 
@@ -517,12 +503,6 @@ def _mk_plus() -> int:
     return _build(lambda_abstract_many(kop(REC, KVar(a), step, KVar(b)), [a, b]))
 
 
-def _mk_monus() -> int:
-    a, b, k, r = kfresh("a"), kfresh("b"), kfresh("k"), kfresh("r")
-    step = lambda_abstract_many(kop(PRED, KVar(r)), [k, r])
-    return _build(lambda_abstract_many(kop(REC, KVar(a), step, KVar(b)), [a, b]))
-
-
 def _mk_mult() -> int:
     a, b, k, r = kfresh("a"), kfresh("b"), kfresh("k"), kfresh("r")
     step = lambda_abstract_many(kapp(KNum(PLUS_CODE), KVar(a), KVar(r)), [k, r])
@@ -530,9 +510,7 @@ def _mk_mult() -> int:
 
 
 PLUS_CODE = _mk_plus()
-MONUS_CODE = _mk_monus()
 MULT_CODE = _mk_mult()
-IDENTITY_CODE = _I_CODE
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 from . import kleene as K
 from .kleene import (
-    Budget, Diverged, KApp, KNum, KTerm, KVar, eval_kterm, ind_call, kapp,
-    kfresh, kop, ksubst, lambda_abstract, lambda_abstract_many,
+    DEFAULT_FUEL, Budget, Diverged, KApp, KNum, KTerm, KVar, eval_kterm,
+    ind_call, kapp, kfresh, kop, lambda_abstract, lambda_abstract_many,
     list_component, list_length, pair, unpair,
 )
 from .syntax import (
@@ -34,7 +34,6 @@ from .syntax import (
 )
 
 DEFAULT_STAGE = 8
-DEFAULT_FUEL = 10 ** 6
 DEFAULT_BOUND = 64
 SAMPLE_POINTS = (100, 1000)     # extra probes beyond range(bound)
 
@@ -74,6 +73,17 @@ def tri_all(parts) -> Tri:
         if p.kind == "unknown" and pending is None:
             pending = p
     return YES if pending is None else pending
+
+
+def sampled(parts: list[Tri], exact: bool) -> Tri:
+    """Combine the parts of a quantifier checked on a sample.
+
+    An inexact sample cannot make the answer yes; its unknown(sampling)
+    comes last, so any earlier no or unknown is what gets reported.
+    """
+    if not exact:
+        parts.append(unknown("sampling"))
+    return tri_all(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -184,10 +194,6 @@ def interpret_term(t: PreTerm) -> KTerm:
                 p5 = kop(K.PAIR, p5, part)
             return kop(K.PAIR, KNum(6), p5)
     raise ValueError(f"not a term: {to_src(t)}")
-
-
-def interpret_subst(t: KTerm, name: str, u: KTerm) -> KTerm:
-    return ksubst(t, name, u)
 
 
 # ---------------------------------------------------------------------------
@@ -313,9 +319,7 @@ class Model:
                 parts.append(unknown("fuel"))
                 continue
             parts.append(self.set_at(em, k))
-        if not exact:
-            parts.append(unknown("sampling"))
-        return tri_all(parts)
+        return sampled(parts, exact)
 
     def _set_at(self, n: int, k: int) -> Tri:
         dec = decode_set(n)
@@ -365,9 +369,7 @@ class Model:
                     parts.append(unknown("fuel"))
                     continue
                 parts.append(self._fam(cxy, s, k))
-        if not exact:
-            parts.append(unknown("sampling"))
-        return tri_all(parts)
+        return sampled(parts, exact)
 
     # -- membership ----------------------------------------------------------
 
@@ -413,9 +415,7 @@ class Model:
                         parts.append(unknown("fuel"))
                         continue
                     parts.append(self.mem_at(mi, ei, k - 1))
-                if not exact:
-                    parts.append(unknown("sampling"))
-                result = tri_all(parts)
+                result = sampled(parts, exact)
         elif kind == "plus":
             _, a, b = dec
             tag, payload = unpair(m)
@@ -483,13 +483,7 @@ class Model:
                 out.extend(pair(m0, m1) for m1 in m1s)
             return out, exact
         if kind == "pi":
-            out = []
-            for cand in self.nat_candidates():
-                if self.mem_at(cand, n, k).kind == "yes":
-                    out.append(cand)
-                    if len(out) >= self.scan_cap:
-                        break
-            return out, False
+            return self.scan(lambda x: self.mem_at(x, n, k)), False
         if kind == "plus":
             _, a, b = dec
             la, ea = self.members(a, k - 1)
@@ -497,23 +491,7 @@ class Model:
             return ([pair(0, m) for m in la] + [pair(1, m) for m in lb],
                     ea and eb)
         if kind == "list":
-            a = dec[1]
-            la, ea = self.members(a, k - 1)
-            if not la:
-                return [0], ea
-            out, frontier = [0], [0]
-            exact = False                    # nonempty element type: infinite
-            while frontier and len(out) < self.list_cap:
-                nxt = []
-                for l in frontier:
-                    for m in la:
-                        if len(out) >= self.list_cap:
-                            break
-                        enc = K.snoc(l, m)
-                        out.append(enc)
-                        nxt.append(enc)
-                frontier = nxt
-            return out, exact
+            return self.lists_over(*self.members(dec[1], k - 1))
         if kind == "id":
             _, a, b, c = dec
             if b != c:
@@ -527,6 +505,33 @@ class Model:
             cover, exact = self.cover_v(s, i, c, v, k - 1)
             return sorted(cover.get(a, ())), exact
         return [], True
+
+    def scan(self, test) -> list[int]:
+        """Natural candidates that test says yes to, stopping at scan_cap."""
+        out = []
+        for cand in self.nat_candidates():
+            if test(cand).kind == "yes":
+                out.append(cand)
+                if len(out) >= self.scan_cap:
+                    break
+        return out
+
+    def lists_over(self, elems: list[int], exact: bool) -> tuple[list[int], bool]:
+        """Codes of lists over a sample of elements, breadth first to list_cap."""
+        if not elems:
+            return [0], exact
+        out, frontier = [0], [0]
+        while frontier and len(out) < self.list_cap:
+            nxt = []
+            for l in frontier:
+                for m in elems:
+                    if len(out) >= self.list_cap:
+                        break
+                    enc = K.snoc(l, m)
+                    out.append(enc)
+                    nxt.append(enc)
+            frontier = nxt
+        return out, False                   # nonempty element type: infinite
 
     # -- the least fixpoint of a cover ---------------------------------------
 
@@ -644,9 +649,7 @@ class Model:
                     parts.append(unknown("fuel"))
                     continue
                 parts.append(self.in_cover(s, i, c, v, k, u, ru, depth - 1))
-        if not exact:
-            parts.append(unknown("sampling"))
-        return tri_all(parts)
+        return sampled(parts, exact)
 
 
 # ---------------------------------------------------------------------------
@@ -697,9 +700,7 @@ class ClassExpr:
                         parts.append(unknown("fuel"))
                         continue
                     parts.append(self._sub(opened, {yn: y}).contains(xy))
-                if not exact:
-                    parts.append(unknown("sampling"))
-                return tri_all(parts)
+                return sampled(parts, exact)
             case TSum(l, r):
                 tag, payload = unpair(x)
                 if tag == 0:
@@ -751,34 +752,14 @@ class ClassExpr:
                     out.extend(pair(x0, x1) for x1 in x1s)
                 return out, exact
             case TPi():
-                out = []
-                for x in m.nat_candidates():
-                    if self.contains(x).kind == "yes":
-                        out.append(x)
-                        if len(out) >= m.scan_cap:
-                            break
-                return out, False
+                return m.scan(self.contains), False
             case TSum(l, r):
                 ls, el = self._sub(l).enumerate()
                 rs, er = self._sub(r).enumerate()
                 return ([pair(0, x) for x in ls] + [pair(1, x) for x in rs],
                         el and er)
             case TList(el):
-                xs, ex = self._sub(el).enumerate()
-                if not xs:
-                    return [0], ex
-                out, frontier = [0], [0]
-                while frontier and len(out) < m.list_cap:
-                    nxt = []
-                    for l in frontier:
-                        for x in xs:
-                            if len(out) >= m.list_cap:
-                                break
-                            enc = K.snoc(l, x)
-                            out.append(enc)
-                            nxt.append(enc)
-                    frontier = nxt
-                return out, False
+                return m.lists_over(*self._sub(el).enumerate())
             case TId():
                 va = m.eval_term(ty.lhs, self.env)
                 vb = m.eval_term(ty.rhs, self.env)
@@ -791,24 +772,13 @@ class ClassExpr:
                     return [va], True
                 return [], t.kind == "no"
             case TU0():
-                out = []
-                for x in m.nat_candidates():
-                    if m.set_at(x, m.stage).kind == "yes":
-                        out.append(x)
-                        if len(out) >= m.scan_cap:
-                            break
-                return out, False
+                return m.scan(lambda x: m.set_at(x, m.stage)), False
             case TDec(code):
                 vc = m.eval_term(code, self.env)
                 if vc is None:
                     return [], False
                 return m.members(vc, m.stage)
         raise ValueError(f"not a pretype: {to_src(ty)}")
-
-
-def interpret_type(ty: PreTerm, env: dict[str, int] | None = None,
-                   model: Model | None = None) -> ClassExpr:
-    return ClassExpr(model or Model(), ty, env or {})
 
 
 # ---------------------------------------------------------------------------
@@ -865,9 +835,7 @@ def _validate_in_env(model: Model, j: Judgment, env: dict[str, int]) -> Tri:
                 return no(f"the classes differ at {x}")
             if "unknown" in (ta.kind, tb.kind):
                 parts.append(unknown(ta.reason or tb.reason))
-        if not (ex_a and ex_b):
-            parts.append(unknown("sampling"))
-        return tri_all(parts)
+        return sampled(parts, ex_a and ex_b)
     if isinstance(j, TermOf):
         v = model.eval_term(j.term, env)
         if v is None:
@@ -906,9 +874,7 @@ def validate_judgment(j: Judgment, stage: int = DEFAULT_STAGE,
             parts.append(_validate_in_env(model, j, env))
         except Diverged:
             parts.append(unknown("fuel"))
-    if not exact:
-        parts.append(unknown("sampling"))
-    return tri_all(parts)
+    return sampled(parts, exact)
 
 
 # ---------------------------------------------------------------------------

@@ -355,11 +355,23 @@ _SIG: dict[type, tuple[tuple[str, int], ...]] = {
     TDec: (("code", 0),),
 }
 
-TYPE_CLASSES = (TN0, TN1, TN, TU0, TSigma, TPi, TSum, TList, TId, TDec)
-
-
-def is_type_node(t: PreTerm) -> bool:
-    return isinstance(t, TYPE_CLASSES)
+# The bracketed term formers: keyword -> (node class, separator).  Their
+# parts are the class's _SIG fields in order; a field that binds n variables
+# reads "x1 ... xn . body", and its names are kept in the class's next hint
+# field (the compare=False fields, in order).  Parser and printer both read
+# this table.
+_FORMS: dict[str, tuple[type, str]] = {
+    "succ": (Succ, ","), "natrec": (NatRec, ";"), "unitrec": (UnitRec, ";"),
+    "emptyrec": (EmptyRec, ","), "pair": (Pair, ","), "split": (Split, ";"),
+    "Ap": (Ap, ","), "inl": (Inl, ","), "inr": (Inr, ","),
+    "when": (When, ";"), "cons": (Cons, ","), "listrec": (ListRec, ";"),
+    "refl": (Refl, ","), "idpeel": (IdPeel, ";"), "rf": (Rf, ","),
+    "tr": (Tr, ","), "ind": (Ind, ";"), "sigmahat": (SigmaHat, ","),
+    "pihat": (PiHat, ","), "plushat": (PlusHat, ","),
+    "listhat": (ListHat, ","), "idhat": (IdHat, ","), "cov": (CovHat, ";"),
+}
+_ATOMS = {"star": Star, "nil": Nil, "n0hat": N0Hat, "n1hat": N1Hat, "nhat": NHat}
+_TYPE_ATOMS = {"N0": TN0, "N1": TN1, "N": TN, "U0": TU0}
 
 
 # ---------------------------------------------------------------------------
@@ -473,10 +485,6 @@ def abstract_out(t: PreTerm, sub: PreTerm, name: str) -> PreTerm:
     return dataclasses.replace(t, **changes) if changes else t
 
 
-def lam_(name: str, body: PreTerm, hint: str | None = None) -> Lam:
-    return Lam(close_over(body, (name,)), hint or name.split("%")[0])
-
-
 def pi_(name: str, dom: PreTerm, cod: PreTerm) -> TPi:
     return TPi(dom, close_over(cod, (name,)), name.split("%")[0])
 
@@ -516,9 +524,6 @@ class Context:
 
     def extend(self, name: str, ty: PreTerm) -> "Context":
         return Context(self.entries + ((name, ty),))
-
-    def names(self) -> tuple[str, ...]:
-        return tuple(n for n, _ in self.entries)
 
 
 @dataclass(frozen=True)
@@ -626,13 +631,17 @@ def _lex(src: str) -> list[_Tok]:
     return toks
 
 
-TYPE_KEYWORDS = {"N0", "N1", "N", "U0", "Sigma", "Pi", "Sum", "List", "Id", "T"}
-TERM_KEYWORDS = {
-    "succ", "natrec", "star", "unitrec", "emptyrec", "pair", "split", "lam",
-    "Ap", "inl", "inr", "when", "nil", "cons", "listrec", "refl", "idpeel",
-    "rf", "tr", "ind", "n0hat", "n1hat", "nhat", "sigmahat", "pihat",
-    "plushat", "listhat", "idhat", "cov",
-}
+def _parse_spec(cls: type, sep: str) -> tuple:
+    """The node class and, per part, its binder arity and closing token."""
+    arities = [arity for _, arity in _SIG[cls]]
+    closers = [sep] * (len(arities) - 1) + [")"]
+    return cls, tuple(zip(arities, closers))
+
+
+_PARSE_FORM = {kw: _parse_spec(cls, sep) for kw, (cls, sep) in _FORMS.items()}
+
+TYPE_KEYWORDS = {*_TYPE_ATOMS, "Sigma", "Pi", "Sum", "List", "Id", "T"}
+TERM_KEYWORDS = {*_FORMS, *_ATOMS, "lam"}
 JUDGMENT_KEYWORDS = {"type", "typeeq", "term", "termeq", "ct"}
 KEYWORDS = TYPE_KEYWORDS | TERM_KEYWORDS | JUDGMENT_KEYWORDS
 
@@ -710,18 +719,9 @@ class _Parser:
         if t.kind != "ident":
             raise self.fail(f"expected a type, found {t.text!r}")
         kw = t.text
-        if kw == "N0":
+        if kw in _TYPE_ATOMS:
             self.next()
-            return TN0()
-        if kw == "N1":
-            self.next()
-            return TN1()
-        if kw == "N":
-            self.next()
-            return TN()
-        if kw == "U0":
-            self.next()
-            return TU0()
+            return _TYPE_ATOMS[kw]()
         if kw in ("Sigma", "Pi"):
             self.next()
             x = self.ident()
@@ -783,27 +783,12 @@ class _Parser:
         if kw not in KEYWORDS:
             self.next()
             return self.var(t)
-        if kw == "star":
+        form = _PARSE_FORM.get(kw)
+        if form is not None:
+            return self.form(form)
+        if kw in _ATOMS:
             self.next()
-            return Star()
-        if kw == "nil":
-            self.next()
-            return Nil()
-        if kw in ("n0hat", "n1hat", "nhat"):
-            self.next()
-            return {"n0hat": N0Hat, "n1hat": N1Hat, "nhat": NHat}[kw]()
-        if kw == "succ":
-            return Succ(self.args1())
-        if kw == "emptyrec":
-            return EmptyRec(self.args1())
-        if kw == "inl":
-            return Inl(self.args1())
-        if kw == "inr":
-            return Inr(self.args1())
-        if kw == "refl":
-            return Refl(self.args1())
-        if kw == "listhat":
-            return ListHat(self.args1())
+            return _ATOMS[kw]()
         if kw == "lam":
             self.next()
             x = self.ident()
@@ -815,146 +800,30 @@ class _Parser:
             body = self.term()
             self.unbind(1)
             return Lam(body, x)
-        if kw == "pair":
-            a, b = self.args2()
-            return Pair(a, b)
-        if kw == "Ap":
-            a, b = self.args2()
-            return Ap(a, b)
-        if kw == "cons":
-            a, b = self.args2()
-            return Cons(a, b)
-        if kw == "rf":
-            a, b = self.args2()
-            return Rf(a, b)
-        if kw in ("sigmahat", "pihat", "plushat"):
-            a, b = self.args2()
-            return {"sigmahat": SigmaHat, "pihat": PiHat, "plushat": PlusHat}[kw](a, b)
-        if kw == "tr":
-            self.next()
-            self.expect("(")
-            a = self.term()
-            self.expect(",")
-            j = self.term()
-            self.expect(",")
-            r = self.term()
-            self.expect(")")
-            return Tr(a, j, r)
-        if kw == "idhat":
-            self.next()
-            self.expect("(")
-            s = self.term()
-            self.expect(",")
-            l = self.term()
-            self.expect(",")
-            r = self.term()
-            self.expect(")")
-            return IdHat(s, l, r)
-        if kw == "natrec":
-            self.next()
-            self.expect("(")
-            n = self.term()
-            self.expect(";")
-            z = self.term()
-            self.expect(";")
-            xs, s = self.bound_term(2)
-            self.expect(")")
-            return NatRec(n, z, s, tuple(xs))
-        if kw == "unitrec":
-            self.next()
-            self.expect("(")
-            c = self.term()
-            self.expect(";")
-            d = self.term()
-            self.expect(")")
-            return UnitRec(c, d)
-        if kw == "split":
-            self.next()
-            self.expect("(")
-            c = self.term()
-            self.expect(";")
-            xs, d = self.bound_term(2)
-            self.expect(")")
-            return Split(c, d, tuple(xs))
-        if kw == "when":
-            self.next()
-            self.expect("(")
-            c = self.term()
-            self.expect(";")
-            xl, dl = self.bound_term(1)
-            self.expect(";")
-            xr, dr = self.bound_term(1)
-            self.expect(")")
-            return When(c, dl, dr, xl[0], xr[0])
-        if kw == "listrec":
-            self.next()
-            self.expect("(")
-            c = self.term()
-            self.expect(";")
-            d = self.term()
-            self.expect(";")
-            xs, e = self.bound_term(3)
-            self.expect(")")
-            return ListRec(c, d, e, tuple(xs))
-        if kw == "idpeel":
-            self.next()
-            self.expect("(")
-            c = self.term()
-            self.expect(";")
-            xs, d = self.bound_term(1)
-            self.expect(")")
-            return IdPeel(c, d, xs[0])
-        if kw == "ind":
-            self.next()
-            self.expect("(")
-            m = self.term()
-            self.expect(";")
-            xs1, q1 = self.bound_term(2)
-            self.expect(";")
-            xs2, q2 = self.bound_term(4)
-            self.expect(")")
-            return Ind(m, q1, q2, tuple(xs1), tuple(xs2))
-        if kw == "cov":
-            self.next()
-            self.expect("(")
-            s = self.term()
-            self.expect(";")
-            xi, i = self.bound_term(1)
-            self.expect(";")
-            xc, c = self.bound_term(2)
-            self.expect(";")
-            a = self.term()
-            self.expect(";")
-            v = self.term()
-            self.expect(")")
-            return CovHat(s, i, c, a, v, xi[0], tuple(xc))
         raise self.fail(f"expected a term, found {kw!r}")
 
-    def args1(self) -> PreTerm:
+    def form(self, spec: tuple[type, tuple[tuple[int, str], ...]]) -> PreTerm:
+        """A bracketed former of _FORMS.  Binder names are read here, not in
+        a helper, so each level of nesting costs two Python frames; spec is
+        passed whole because a starred call would also nest the C stack."""
+        cls, fields = spec
         self.next()
         self.expect("(")
-        a = self.term()
-        self.expect(")")
-        return a
-
-    def args2(self) -> tuple[PreTerm, PreTerm]:
-        self.next()
-        self.expect("(")
-        a = self.term()
-        self.expect(",")
-        b = self.term()
-        self.expect(")")
-        return a, b
-
-    def bound_term(self, n: int) -> tuple[list[str], PreTerm]:
-        names = [self.ident() for _ in range(n)]
-        if len(set(names)) != n:
-            raise self.fail("repeated binder name")
-        self.expect(".")
-        self.binder(names)
-        body = self.term()
-        self.unbind(n)
-        return names, body
+        parts, hints = [], ()
+        for arity, close in fields:
+            if arity:
+                names = [self.ident() for _ in range(arity)]
+                if len(set(names)) != arity:
+                    raise self.fail("repeated binder name")
+                self.expect(".")
+                self.binder(names)
+                parts.append(self.term())
+                self.unbind(arity)
+                hints += (names[0] if arity == 1 else tuple(names),)
+            else:
+                parts.append(self.term())
+            self.expect(close)
+        return cls(*parts, *hints)
 
     # -- judgments -------------------------------------------------------------
 
@@ -1108,93 +977,24 @@ def _pr_binder(body, hints, used) -> tuple[str, str]:
     return " ".join(names), s
 
 
+# node class -> (keyword, separator, hint fields) for each entry of _FORMS
+_FORM_OF = {cls: (kw, sep + " ", [f.name for f in dataclasses.fields(cls)
+                                   if not f.compare])
+            for kw, (cls, sep) in _FORMS.items()}
+_ATOM_OF = {cls: kw for kw, cls in {**_ATOMS, **_TYPE_ATOMS}.items()}
+
+
 def _pr(t: PreTerm, used: set[str]) -> str:
     match t:
         case FVar(name):
             return name
         case BVar(k):
             return f"?{k}"              # only reachable on non-locally-closed trees
-        case Zero() | Succ():
-            n = as_numeral(t)
-            if n is not None:
-                return str(n)
-            return f"succ({_pr(t.arg, used)})"
-        case NatRec(n, z, s):
-            xs, body = _pr_binder(s, t.step_hints, used)
-            return f"natrec({_pr(n, used)}; {_pr(z, used)}; {xs} . {body})"
-        case Star():
-            return "star"
-        case UnitRec(c, d):
-            return f"unitrec({_pr(c, used)}; {_pr(d, used)})"
-        case EmptyRec(c):
-            return f"emptyrec({_pr(c, used)})"
-        case Pair(a, b):
-            return f"pair({_pr(a, used)}, {_pr(b, used)})"
-        case Split(c, d):
-            xs, body = _pr_binder(d, t.body_hints, used)
-            return f"split({_pr(c, used)}; {xs} . {body})"
+        case Zero() | Succ() if (n := as_numeral(t)) is not None:
+            return str(n)
         case Lam(b):
             xs, body = _pr_binder(b, t.hint, used)
             return f"lam {xs} . {body}"
-        case Ap(f, a):
-            return f"Ap({_pr(f, used)}, {_pr(a, used)})"
-        case Inl(a):
-            return f"inl({_pr(a, used)})"
-        case Inr(a):
-            return f"inr({_pr(a, used)})"
-        case When(c, l, r):
-            xl, bl = _pr_binder(l, t.left_hint, used)
-            xr, br = _pr_binder(r, t.right_hint, used)
-            return f"when({_pr(c, used)}; {xl} . {bl}; {xr} . {br})"
-        case Nil():
-            return "nil"
-        case Cons(l, a):
-            return f"cons({_pr(l, used)}, {_pr(a, used)})"
-        case ListRec(c, d, e):
-            xs, body = _pr_binder(e, t.step_hints, used)
-            return f"listrec({_pr(c, used)}; {_pr(d, used)}; {xs} . {body})"
-        case Refl(a):
-            return f"refl({_pr(a, used)})"
-        case IdPeel(c, d):
-            xs, body = _pr_binder(d, t.body_hint, used)
-            return f"idpeel({_pr(c, used)}; {xs} . {body})"
-        case Rf(a, r):
-            return f"rf({_pr(a, used)}, {_pr(r, used)})"
-        case Tr(a, j, r):
-            return f"tr({_pr(a, used)}, {_pr(j, used)}, {_pr(r, used)})"
-        case Ind(m, q1, q2):
-            x1, b1 = _pr_binder(q1, t.base_hints, used)
-            x2, b2 = _pr_binder(q2, t.step_hints, used)
-            return f"ind({_pr(m, used)}; {x1} . {b1}; {x2} . {b2})"
-        case N0Hat():
-            return "n0hat"
-        case N1Hat():
-            return "n1hat"
-        case NHat():
-            return "nhat"
-        case SigmaHat(s, f):
-            return f"sigmahat({_pr(s, used)}, {_pr(f, used)})"
-        case PiHat(s, f):
-            return f"pihat({_pr(s, used)}, {_pr(f, used)})"
-        case PlusHat(a, b):
-            return f"plushat({_pr(a, used)}, {_pr(b, used)})"
-        case ListHat(s):
-            return f"listhat({_pr(s, used)})"
-        case IdHat(s, a, b):
-            return f"idhat({_pr(s, used)}, {_pr(a, used)}, {_pr(b, used)})"
-        case CovHat(s, i, c, a, v):
-            xi, bi = _pr_binder(i, t.idx_hint, used)
-            xc, bc = _pr_binder(c, t.cov_hints, used)
-            return (f"cov({_pr(s, used)}; {xi} . {bi}; {xc} . {bc}; "
-                    f"{_pr(a, used)}; {_pr(v, used)})")
-        case TN0():
-            return "N0"
-        case TN1():
-            return "N1"
-        case TN():
-            return "N"
-        case TU0():
-            return "U0"
         case TPi(dom, _) if not _uses_bound(t.cod):
             cod = instantiate(t.cod, (FVar(fresh_name("_")),))
             ds = _pr(dom, used)
@@ -1213,7 +1013,21 @@ def _pr(t: PreTerm, used: set[str]) -> str:
             return f"Id({_pr(a, used)}, {_pr(l, used)}, {_pr(r, used)})"
         case TDec(a):
             return f"T({_pr(a, used)})"
-    raise AssertionError(f"unprintable node {t!r}")
+    cls = type(t)
+    if cls in _ATOM_OF:
+        return _ATOM_OF[cls]
+    if cls not in _FORM_OF:
+        raise AssertionError(f"unprintable node {t!r}")
+    kw, sep, hint_fields = _FORM_OF[cls]
+    hints = iter(hint_fields)
+    parts = []
+    for name, arity in _SIG[cls]:
+        if arity:
+            xs, body = _pr_binder(getattr(t, name), getattr(t, next(hints)), used)
+            parts.append(f"{xs} . {body}")
+        else:
+            parts.append(_pr(getattr(t, name), used))
+    return f"{kw}({sep.join(parts)})"
 
 
 def _uses_bound(body: PreTerm, depth: int = 0) -> bool:

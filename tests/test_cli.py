@@ -89,6 +89,17 @@ def test_cover_and_wp(corpus_dir):
     assert rc == 0 and "{0}" in out
 
 
+def test_cover_query_is_validated_like_a_file_query(corpus_dir, capsys):
+    path = str(corpus_dir / "cantor2.cover")
+    for query, message in [("zz <|", "unknown element 'zz'"),
+                           ("e <| l0 zz", "unknown element 'zz'"),
+                           ("e l0 <| l0 l1", "exactly one element before '<|'"),
+                           ("e l0 l1", "expected 'query ELEM <| MEMBERS...'")]:
+        rc, out = run(["cover", path, "--query", query])
+        assert (rc, out) == (2, ""), query
+        assert message in capsys.readouterr().err, query
+
+
 def test_eval_from_file(tmp_path):
     f = tmp_path / "t.term"
     f.write_text("Ap(lam x . succ(x), 1)\n")

@@ -1,13 +1,14 @@
 import pytest
 
 from covtt.kernel import (
-    CheckResult, FuelExhausted, check_context, check_eq_term, check_eq_type,
+    CheckResult, check_context, check_eq_term, check_eq_type,
     check_judgment, check_term, whnf, whnf_step,
 )
 from covtt.syntax import (
     Context, TermOf, alpha_eq, parse_file, parse_judgment, parse_term,
     parse_type, to_src,
 )
+from covtt.kleene import Diverged
 
 
 def ok(src: str) -> CheckResult:
@@ -79,7 +80,7 @@ def test_whnf_deterministic_and_stuck():
 
 def test_whnf_fuel_exhaustion():
     omega = parse_term("Ap(lam x . Ap(x, x), lam x . Ap(x, x))")
-    with pytest.raises(FuelExhausted):
+    with pytest.raises(Diverged):
         whnf(omega, fuel=1000)
 
 

@@ -4,7 +4,7 @@ from covtt import kleene as K
 from covtt.kleene import KNum, apply, apply_many, code, eval_kterm, pair
 from covtt.realizability import (
     Model, N0_CODE, N1_CODE, N_CODE, check_realizer, cover_fixpoint,
-    ct_validate, decode_set, interpret_subst, interpret_term, mem_at_stage,
+    ct_validate, decode_set, interpret_term, mem_at_stage,
     realize, rf_code, set_at_stage, tr_code, validate, validate_judgment,
 )
 from covtt.syntax import parse_judgment, parse_term, parse_type, substitute
@@ -61,7 +61,7 @@ def test_substitution_commutation_bulk():
         u = parse_term(rng.choice(args))
         var = rng.choice(["x", "y"])
         lhs = interpret_term(substitute(t, var, u))
-        rhs = interpret_subst(interpret_term(t), var, interpret_term(u))
+        rhs = K.ksubst(interpret_term(t), var, interpret_term(u))
         assert lhs == rhs, (t, var, u)
 
 

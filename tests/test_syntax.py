@@ -197,3 +197,12 @@ def test_parse_dispatch():
     assert isinstance(parse("term [] |- 0 : N"), TermOf)
     assert isinstance(parse("N -> N"), TPi)
     assert alpha_eq(parse("lam x : N . x"), parse_term("lam x . x"))
+
+
+def test_grammar_doc_lists_the_bracketed_formers():
+    import re
+    from pathlib import Path
+    from covtt.syntax import _FORMS
+    doc = (Path(__file__).resolve().parent.parent / "docs" / "grammar.md").read_text()
+    term_grammar = doc.split("## Terms", 1)[1].split("```")[1]
+    assert set(re.findall(r"\b(\w+)\(", term_grammar)) == set(_FORMS)
