@@ -198,6 +198,17 @@ def _parse_term_arg(args):
     return t
 
 
+def _natural(text: str) -> int:
+    """argparse type of --stage, --bound and --fuel: an int >= 0."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, not {n}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="covtt",
@@ -207,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, fuel=True):
         if fuel:
-            p.add_argument("--fuel", type=int, default=kernel.DEFAULT_FUEL,
+            p.add_argument("--fuel", type=_natural, default=kernel.DEFAULT_FUEL,
                            help="step limit for reduction and evaluation")
         p.add_argument("--format", choices=("text", "structured"),
                        default="text")
@@ -229,8 +240,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="validate judgments in the model")
     p.add_argument("file")
-    p.add_argument("--stage", type=int, default=realizability.DEFAULT_STAGE)
-    p.add_argument("--bound", type=int, default=realizability.DEFAULT_BOUND)
+    p.add_argument("--stage", type=_natural, default=realizability.DEFAULT_STAGE)
+    p.add_argument("--bound", type=_natural, default=realizability.DEFAULT_BOUND)
     common(p)
     p.set_defaults(fn=cmd_verify)
 

@@ -475,9 +475,15 @@ def _check(ctx: Context, t: PreTerm, goal: PreTerm, budget: Budget) -> None:
                 _eq_type(ctx, inferred, goal, budget)
 
 
-def _motive(goal: PreTerm, scrut: PreTerm, var: str) -> PreTerm:
-    """Synthesize a motive by abstracting the goal over the scrutinee."""
-    return abstract_out(goal, scrut, var)
+def _checked_motive(ctx: Context, rule: str, goal: PreTerm, scrut: PreTerm,
+                    ty: PreTerm, hint: str, budget: Budget) -> tuple[str, PreTerm]:
+    """A fresh variable of type ty and the goal abstracted over the scrutinee
+    as that variable, checked to be a type."""
+    x = fresh_name(hint)
+    p = abstract_out(goal, scrut, x)
+    with _premise(rule, "motive"):
+        _wf_type(ctx.extend(x, ty), p, budget)
+    return x, p
 
 
 def _check_elim(ctx: Context, t: PreTerm, goal: PreTerm, budget: Budget) -> None:
@@ -485,10 +491,7 @@ def _check_elim(ctx: Context, t: PreTerm, goal: PreTerm, budget: Budget) -> None
         case NatRec(n, z, s):
             with _premise("N-E", "scrutinee"):
                 _check(ctx, n, TN(), budget)
-            x = fresh_name("x")
-            p = _motive(goal, n, x)
-            with _premise("N-E", "motive"):
-                _wf_type(ctx.extend(x, TN()), p, budget)
+            x, p = _checked_motive(ctx, "N-E", goal, n, TN(), "x", budget)
             with _premise("N-E", "base case"):
                 _check(ctx, z, substitute(p, x, Zero()), budget)
             k, r = fresh_name(t.step_hints[0]), fresh_name(t.step_hints[1])
@@ -499,36 +502,23 @@ def _check_elim(ctx: Context, t: PreTerm, goal: PreTerm, budget: Budget) -> None
         case UnitRec(c, d):
             with _premise("N1-E", "scrutinee"):
                 _check(ctx, c, TN1(), budget)
-            x = fresh_name("x")
-            p = _motive(goal, c, x)
-            with _premise("N1-E", "motive"):
-                _wf_type(ctx.extend(x, TN1()), p, budget)
+            x, p = _checked_motive(ctx, "N1-E", goal, c, TN1(), "x", budget)
             with _premise("N1-E", "base case"):
                 _check(ctx, d, substitute(p, x, Star()), budget)
         case EmptyRec(c):
             with _premise("N0-E", "scrutinee"):
                 _check(ctx, c, TN0(), budget)
         case Split(c, d):
-            tc = whnf_type(_infer_scrut(ctx, c, "Sigma-E", budget), budget)
-            if not isinstance(tc, TSigma):
-                raise CheckFailure("Sigma-E", f"scrutinee has type {to_src(tc)}")
-            z = fresh_name("z")
-            p = _motive(goal, c, z)
-            with _premise("Sigma-E", "motive"):
-                _wf_type(ctx.extend(z, tc), p, budget)
+            tc = _infer_scrut(ctx, c, "Sigma-E", budget, TSigma)
+            z, p = _checked_motive(ctx, "Sigma-E", goal, c, tc, "z", budget)
             a, b = fresh_name(t.body_hints[0]), fresh_name(t.body_hints[1])
             ctx2 = ctx.extend(a, tc.dom).extend(b, instantiate(tc.cod, (FVar(a),)))
             with _premise("Sigma-E", "branch"):
                 _check(ctx2, instantiate(d, (FVar(a), FVar(b))),
                        substitute(p, z, Pair(FVar(a), FVar(b))), budget)
         case When(c, l, r):
-            tc = whnf_type(_infer_scrut(ctx, c, "Sum-E", budget), budget)
-            if not isinstance(tc, TSum):
-                raise CheckFailure("Sum-E", f"scrutinee has type {to_src(tc)}")
-            z = fresh_name("z")
-            p = _motive(goal, c, z)
-            with _premise("Sum-E", "motive"):
-                _wf_type(ctx.extend(z, tc), p, budget)
+            tc = _infer_scrut(ctx, c, "Sum-E", budget, TSum)
+            z, p = _checked_motive(ctx, "Sum-E", goal, c, tc, "z", budget)
             a = fresh_name(t.left_hint)
             with _premise("Sum-E", "left branch"):
                 _check(ctx.extend(a, tc.left), instantiate(l, (FVar(a),)),
@@ -538,13 +528,8 @@ def _check_elim(ctx: Context, t: PreTerm, goal: PreTerm, budget: Budget) -> None
                 _check(ctx.extend(b, tc.right), instantiate(r, (FVar(b),)),
                        substitute(p, z, Inr(FVar(b))), budget)
         case ListRec(c, d, e):
-            tc = whnf_type(_infer_scrut(ctx, c, "List-E", budget), budget)
-            if not isinstance(tc, TList):
-                raise CheckFailure("List-E", f"scrutinee has type {to_src(tc)}")
-            z = fresh_name("z")
-            p = _motive(goal, c, z)
-            with _premise("List-E", "motive"):
-                _wf_type(ctx.extend(z, tc), p, budget)
+            tc = _infer_scrut(ctx, c, "List-E", budget, TList)
+            z, p = _checked_motive(ctx, "List-E", goal, c, tc, "z", budget)
             with _premise("List-E", "nil case"):
                 _check(ctx, d, substitute(p, z, Nil()), budget)
             tl, hd, pr = (fresh_name(h) for h in t.step_hints)
@@ -554,11 +539,10 @@ def _check_elim(ctx: Context, t: PreTerm, goal: PreTerm, budget: Budget) -> None
                 _check(ctx2, instantiate(e, (FVar(tl), FVar(hd), FVar(pr))),
                        substitute(p, z, Cons(FVar(tl), FVar(hd))), budget)
         case IdPeel(c, d):
-            tc = whnf_type(_infer_scrut(ctx, c, "Id-E", budget), budget)
-            if not isinstance(tc, TId):
-                raise CheckFailure("Id-E", f"scrutinee has type {to_src(tc)}")
+            tc = _infer_scrut(ctx, c, "Id-E", budget, TId)
             u, y, x = fresh_name("u"), fresh_name("y"), fresh_name("x")
-            p = _motive(_motive(_motive(goal, c, u), tc.rhs, y), tc.lhs, x)
+            p = abstract_out(abstract_out(abstract_out(goal, c, u), tc.rhs, y),
+                             tc.lhs, x)
             ctx_p = (ctx.extend(x, tc.ty).extend(y, tc.ty)
                      .extend(u, TId(tc.ty, FVar(x), FVar(y))))
             with _premise("Id-E", "motive"):
@@ -570,7 +554,7 @@ def _check_elim(ctx: Context, t: PreTerm, goal: PreTerm, budget: Budget) -> None
                 _check(ctx.extend(xd, tc.ty), instantiate(d, (FVar(xd),)),
                        inst, budget)
         case Ind(m, q1, q2):
-            tm = whnf_type(_infer_scrut(ctx, m, "ind-cov", budget), budget)
+            tm = _infer_scrut(ctx, m, "ind-cov", budget)
             cov = tm.code if isinstance(tm, TDec) else None
             if not isinstance(cov, CovHat):
                 raise CheckFailure("ind-cov",
@@ -578,7 +562,7 @@ def _check_elim(ctx: Context, t: PreTerm, goal: PreTerm, budget: Budget) -> None
                                    f"which is not a cover")
             s, i, c, v = cov.base, cov.idx, cov.cov, cov.sub
             u, x = fresh_name("u"), fresh_name("x")
-            p = _motive(_motive(goal, m, u), cov.elem, x)
+            p = abstract_out(abstract_out(goal, m, u), cov.elem, x)
             ctx_p = ctx.extend(x, TDec(s)).extend(u, _cover_at(tm, FVar(x)))
             with _premise("ind-cov", "motive"):
                 _wf_type(ctx_p, p, budget)
@@ -611,12 +595,17 @@ def _check_elim(ctx: Context, t: PreTerm, goal: PreTerm, budget: Budget) -> None
             raise AssertionError(type(t))
 
 
-def _infer_scrut(ctx: Context, c: PreTerm, rule: str, budget: Budget) -> PreTerm:
+def _infer_scrut(ctx: Context, c: PreTerm, rule: str, budget: Budget,
+                 former: type | None = None) -> PreTerm:
+    """The head normal type of a scrutinee, which must have the given former."""
     try:
-        return _infer(ctx, c, budget)
+        tc = whnf_type(_infer(ctx, c, budget), budget)
     except CheckFailure as e:
         raise CheckFailure(rule, f"scrutinee type cannot be inferred: {e.msg}") \
             from None
+    if former is not None and not isinstance(tc, former):
+        raise CheckFailure(rule, f"scrutinee has type {to_src(tc)}")
+    return tc
 
 
 # ---------------------------------------------------------------------------

@@ -128,6 +128,40 @@ def list_component(x: int, j: int) -> int:
     return items[j] if j < len(items) else 0
 
 
+def untuple(x: int, n: int) -> tuple[int, ...]:
+    """The n parts of a left-nested tuple pair(...pair(p1, p2)..., pn)."""
+    parts = []
+    for _ in range(n - 1):
+        x, last = unpair(x)
+        parts.append(last)
+    return (x, *reversed(parts))
+
+
+# Universe and cover-proof codes are pair(tag, the left-nested tuple of the
+# tag's parts).  This table gives, per tag, the kind and the part count.
+LAYOUT = (("base", 1), ("sigma", 2), ("pi", 2), ("plus", 2), ("list", 1),
+          ("id", 3), ("cov", 5), ("rf", 2), ("tr", 3))
+TAG = {kind: tag for tag, (kind, _) in enumerate(LAYOUT)}
+
+
+def tagged(kind: str, *parts: int) -> int:
+    """The code of the given kind with the given parts."""
+    assert len(parts) == LAYOUT[TAG[kind]][1]
+    x = parts[0]
+    for p in parts[1:]:
+        x = pair(x, p)
+    return pair(TAG[kind], x)
+
+
+def untagged(n: int) -> tuple | None:
+    """(kind, *parts) of a code, or None when its tag is not in LAYOUT."""
+    tag, payload = unpair(n)
+    if tag >= len(LAYOUT):
+        return None
+    kind, count = LAYOUT[tag]
+    return (kind, *untuple(payload, count))
+
+
 # ---------------------------------------------------------------------------
 # The machine
 # ---------------------------------------------------------------------------
@@ -150,7 +184,7 @@ CPT = 14    # CPT l j      = j-th component
 MU = 15     # MU f         = least m with {f}(m) = 0
 AP = 16     # AP e x       = {e}(x)
 PAPP = 17   # PAPP e a x   = {e}(a, x)   -- total code-level partial application
-IND = 18    # IND q1 q2 m  -- cover recursor, see _run
+IND = 18    # IND q1 q2 m  -- cover recursor, see docs/machine.md
 TRACE = 19  # TRACE e x    = the halting trace of {e}(x)
 
 ARITY = {
@@ -269,13 +303,12 @@ def _eval_expr(expr: _Expr, budget: Budget | int) -> int:
                 control.append(("ev", _app(a[0], a[1], a[2])))
             elif tag == IND:
                 q1, q2, m = a
-                mtag, payload = unpair(m)
-                if mtag == 7:               # rf-proof: payload = pair(z, r)
-                    z, r = unpair(payload)
+                kind, *parts = untagged(m) or (None,)
+                if kind == "rf":
+                    z, r = parts
                     control.append(("ev", _app(q1, z, r)))
-                elif mtag == 8:             # tr-proof: payload = pair(pair(z, j), r)
-                    zj, r = unpair(payload)
-                    z, j = unpair(zj)
+                elif kind == "tr":
+                    z, j, r = parts
                     aux = _to_expr(c2_aux_term(KNum(q1), KNum(q2), KNum(r)), {})
                     control.append(("ev", _app(_app(q2, z, j, r), aux)))
                 else:
@@ -453,10 +486,6 @@ def kop(tag: int, *args: KTerm) -> KTerm:
 # The cover recursor and its contraction shape
 # ---------------------------------------------------------------------------
 
-def ind_call(q1: KTerm, q2: KTerm, m: KTerm) -> KTerm:
-    return kop(IND, q1, q2, m)
-
-
 def c2_aux_term(q1: KTerm, q2: KTerm, r: KTerm) -> KTerm:
     """The argument fed to q2 by the tr-contraction: Λz.Λu. ind(q1, q2, {r}(z, u)).
 
@@ -465,7 +494,7 @@ def c2_aux_term(q1: KTerm, q2: KTerm, r: KTerm) -> KTerm:
     lambda coincide as numerals whenever the leaf values coincide.
     """
     z, u = kfresh("z"), kfresh("u")
-    body = ind_call(q1, q2, kapp(r, KVar(z), KVar(u)))
+    body = kop(IND, q1, q2, kapp(r, KVar(z), KVar(u)))
     return lambda_abstract_many(body, [z, u])
 
 

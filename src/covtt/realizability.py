@@ -17,12 +17,13 @@ check is reported as Unknown(sampling), never Yes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import kleene as K
 from .kleene import (
-    DEFAULT_FUEL, Budget, Diverged, KApp, KNum, KTerm, KVar, eval_kterm,
-    ind_call, kapp, kfresh, kop, lambda_abstract, lambda_abstract_many,
-    list_component, list_length, pair, unpair,
+    DEFAULT_FUEL, TAG, Budget, Diverged, KApp, KNum, KTerm, KVar,
+    dec_list, eval_kterm, kapp, kfresh, kop, lambda_abstract,
+    lambda_abstract_many, pair, tagged, unpair, untagged,
 )
 from .syntax import (
     Ap, BVar, Cons, Context, CovHat, CtDirective, EmptyRec, FVar, IdHat,
@@ -30,12 +31,19 @@ from .syntax import (
     NatRec, NHat, Nil, Pair, PiHat, PlusHat, PreTerm, Refl, Rf, SigmaHat,
     Split, Star, Succ, TDec, TId, TList, TN, TN0, TN1, TPi, TSigma, TSum,
     TU0, Tr, TypeEq, TypeWF, TermEq, TermOf, UnitRec, When, Zero, open_with,
-    to_src,
+    _HINTS, _SIG, to_src,
 )
 
 DEFAULT_STAGE = 8
 DEFAULT_BOUND = 64
 SAMPLE_POINTS = (100, 1000)     # extra probes beyond range(bound)
+LIST_CAP = 64                   # list enumerations stop at this many codes
+ENV_SAMPLES = 3                 # realizers tried per context entry
+MAX_ENVS = 36                   # environments tried per judgment
+COVER_DEPTH = 48                # proof depth of a demand-driven cover check
+# candidate scans over non-enumerable carriers (Pi, U0) stop after this many
+# hits; the results are marked inexact either way
+SCAN_CAP = 8
 
 
 # ---------------------------------------------------------------------------
@@ -87,167 +95,103 @@ def sampled(parts: list[Tri], exact: bool) -> Tri:
 
 
 # ---------------------------------------------------------------------------
-# Term interpretation
-# ---------------------------------------------------------------------------
-
-def interpret_term(t: PreTerm) -> KTerm:
-    """Translate a preterm to an applicative term; free variables pass through."""
-    match t:
-        case FVar(name):
-            return KVar(name)
-        case BVar():
-            raise ValueError("cannot interpret a dangling bound variable")
-        case Zero():
-            return KNum(0)
-        case Succ(a):
-            return kop(K.SUCC, interpret_term(a))
-        case NatRec(n, z, s):
-            names, body = open_with(s, t.step_hints)
-            step = lambda_abstract_many(interpret_term(body), list(names))
-            return kop(K.REC, interpret_term(z), step, interpret_term(n))
-        case Star():
-            return KNum(0)
-        case UnitRec(c, d):
-            return KApp(kop(K.K, interpret_term(d)), interpret_term(c))
-        case EmptyRec(c):
-            return kop(K.I, interpret_term(c))
-        case Pair(a, b):
-            return kop(K.PAIR, interpret_term(a), interpret_term(b))
-        case Split(c, d):
-            names, body = open_with(d, t.body_hints)
-            fn = lambda_abstract_many(interpret_term(body), list(names))
-            ci = interpret_term(c)
-            return kapp(fn, kop(K.P0, ci), kop(K.P1, ci))
-        case Lam(b):
-            (x,), body = open_with(b, (t.hint,))
-            return lambda_abstract(interpret_term(body), x)
-        case Ap(f, a):
-            return KApp(interpret_term(f), interpret_term(a))
-        case Inl(a):
-            return kop(K.PAIR, KNum(0), interpret_term(a))
-        case Inr(a):
-            return kop(K.PAIR, KNum(1), interpret_term(a))
-        case When(c, l, r):
-            (xl,), lb = open_with(l, (t.left_hint,))
-            (xr,), rb = open_with(r, (t.right_hint,))
-            ci = interpret_term(c)
-            sel = kop(K.IFZ, kop(K.P0, ci),
-                      lambda_abstract(interpret_term(lb), xl),
-                      lambda_abstract(interpret_term(rb), xr))
-            return KApp(sel, kop(K.P1, ci))
-        case Nil():
-            return KNum(0)
-        case Cons(l, a):
-            return kop(K.SNOC, interpret_term(l), interpret_term(a))
-        case ListRec(c, d, e):
-            names, body = open_with(e, t.step_hints)
-            step = lambda_abstract_many(interpret_term(body), list(names))
-            return kop(K.LREC, interpret_term(d), step, interpret_term(c))
-        case Refl(a):
-            return interpret_term(a)
-        case IdPeel(c, d):
-            (x,), body = open_with(d, (t.body_hint,))
-            return KApp(lambda_abstract(interpret_term(body), x),
-                        interpret_term(c))
-        case Rf(a, r):
-            return kop(K.PAIR, KNum(7),
-                       kop(K.PAIR, interpret_term(a), interpret_term(r)))
-        case Tr(a, j, r):
-            triple = kop(K.PAIR,
-                         kop(K.PAIR, interpret_term(a), interpret_term(j)),
-                         interpret_term(r))
-            return kop(K.PAIR, KNum(8), triple)
-        case Ind(m, q1, q2):
-            n1, b1 = open_with(q1, t.base_hints)
-            n2, b2 = open_with(q2, t.step_hints)
-            q1t = lambda_abstract_many(interpret_term(b1), list(n1))
-            q2t = lambda_abstract_many(interpret_term(b2), list(n2))
-            return ind_call(q1t, q2t, interpret_term(m))
-        case N0Hat():
-            return KNum(pair(0, 0))
-        case N1Hat():
-            return KNum(pair(0, 1))
-        case NHat():
-            return KNum(pair(0, 2))
-        case SigmaHat(s, f):
-            return kop(K.PAIR, KNum(1),
-                       kop(K.PAIR, interpret_term(s), interpret_term(f)))
-        case PiHat(s, f):
-            return kop(K.PAIR, KNum(2),
-                       kop(K.PAIR, interpret_term(s), interpret_term(f)))
-        case PlusHat(l, r):
-            return kop(K.PAIR, KNum(3),
-                       kop(K.PAIR, interpret_term(l), interpret_term(r)))
-        case ListHat(s):
-            return kop(K.PAIR, KNum(4), interpret_term(s))
-        case IdHat(s, a, b):
-            p3 = kop(K.PAIR, kop(K.PAIR, interpret_term(s), interpret_term(a)),
-                     interpret_term(b))
-            return kop(K.PAIR, KNum(5), p3)
-        case CovHat(s, i, c, a, v):
-            (xi,), ib = open_with(i, (t.idx_hint,))
-            nc, cb = open_with(c, t.cov_hints)
-            it = lambda_abstract(interpret_term(ib), xi)
-            ct = lambda_abstract_many(interpret_term(cb), list(nc))
-            p5 = interpret_term(a)
-            for part in (interpret_term(v), interpret_term(s), it, ct):
-                p5 = kop(K.PAIR, p5, part)
-            return kop(K.PAIR, KNum(6), p5)
-    raise ValueError(f"not a term: {to_src(t)}")
-
-
-# ---------------------------------------------------------------------------
 # Set codes
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=1 << 12)     # the model decodes the same few codes often
 def decode_set(n: int):
-    """Decoded view of a universe code, or None when the tag is not 0..8."""
-    tag, payload = unpair(n)
-    if tag == 0:
-        return ("base", payload) if payload in (0, 1, 2) else None
-    if tag in (1, 2):
-        kc, e = unpair(payload)
-        return ("sigma" if tag == 1 else "pi", kc, e)
-    if tag == 3:
-        a, b = unpair(payload)
-        return ("plus", a, b)
-    if tag == 4:
-        return ("list", payload)
-    if tag == 5:
-        ab, c = unpair(payload)
-        a, b = unpair(ab)
-        return ("id", a, b, c)
-    if tag == 6:
-        rest, c = unpair(payload)
-        rest, i = unpair(rest)
-        rest, s = unpair(rest)
-        a, v = unpair(rest)
-        return ("cov", a, v, s, i, c)
-    if tag == 7:
-        z, r = unpair(payload)
-        return ("rf", z, r)
-    if tag == 8:
-        zj, r = unpair(payload)
-        z, j = unpair(zj)
-        return ("tr", z, j, r)
-    return None
+    """(kind, *parts) of a universe or proof code; None for a tag above 8
+    and for a base code other than N0, N1 and N."""
+    dec = untagged(n)
+    return None if dec is None or dec[0] == "base" and dec[1] > 2 else dec
 
 
 def rf_code(z: int, r: int) -> int:
-    return pair(7, pair(z, r))
+    return tagged("rf", z, r)
 
 
 def tr_code(z: int, j: int, r: int) -> int:
-    return pair(8, pair(pair(z, j), r))
+    return tagged("tr", z, j, r)
 
 
 def cov_code(a: int, v: int, s: int, i: int, c: int) -> int:
-    return pair(6, pair(pair(pair(pair(a, v), s), i), c))
+    return tagged("cov", a, v, s, i, c)
 
 
-N0_CODE = pair(0, 0)
-N1_CODE = pair(0, 1)
-N_CODE = pair(0, 2)
+N0_CODE = tagged("base", 0)
+N1_CODE = tagged("base", 1)
+N_CODE = tagged("base", 2)
+
+
+# ---------------------------------------------------------------------------
+# Term interpretation
+# ---------------------------------------------------------------------------
+
+_CONSTANTS = {Zero: KNum(0), Star: KNum(0), Nil: KNum(0), N0Hat: KNum(N0_CODE),
+              N1Hat: KNum(N1_CODE), NHat: KNum(N_CODE)}
+# node class -> (instruction, the parts it takes in order)
+_MACHINE = {
+    Succ: (K.SUCC, (0,)), NatRec: (K.REC, (1, 2, 0)), UnitRec: (K.K, (1, 0)),
+    EmptyRec: (K.I, (0,)), Pair: (K.PAIR, (0, 1)), Cons: (K.SNOC, (0, 1)),
+    ListRec: (K.LREC, (1, 2, 0)), Ind: (K.IND, (1, 2, 0)),
+}
+# node class -> (tag, the parts in tuple order): the code is pair(tag, tuple);
+# the universe and proof codes take their tags from kleene.LAYOUT, and the
+# injections share their shape under tags 0 and 1
+_CODED = {Inl: (0, (0,)), Inr: (1, (0,)), CovHat: (TAG["cov"], (3, 4, 0, 1, 2)),
+          **{cls: (TAG[kind], range(len(_SIG[cls]))) for cls, kind in (
+              (SigmaHat, "sigma"), (PiHat, "pi"), (PlusHat, "plus"),
+              (ListHat, "list"), (IdHat, "id"), (Rf, "rf"), (Tr, "tr"))}}
+_TERMS = {*_MACHINE, *_CODED, Lam, Refl, Ap, IdPeel, Split, When}
+
+
+def _parts(t: PreTerm) -> list[KTerm]:
+    """The interpreted fields of t; a binder field is abstracted over its names."""
+    hints = iter(_HINTS[type(t)])
+    out = []
+    for name, arity in _SIG[type(t)]:
+        part = getattr(t, name)
+        if not arity:
+            out.append(interpret_term(part))
+        elif arity == 1:
+            (x,), body = open_with(part, (getattr(t, next(hints)),))
+            out.append(lambda_abstract(interpret_term(body), x))
+        else:
+            names, body = open_with(part, getattr(t, next(hints)))
+            out.append(lambda_abstract_many(interpret_term(body), list(names)))
+    return out
+
+
+def interpret_term(t: PreTerm) -> KTerm:
+    """Translate a preterm to an applicative term; free variables pass through."""
+    cls = type(t)
+    if cls in _CONSTANTS:
+        return _CONSTANTS[cls]
+    if cls is FVar:
+        return KVar(t.name)
+    if cls is BVar:
+        raise ValueError("cannot interpret a dangling bound variable")
+    if cls not in _TERMS:
+        raise ValueError(f"not a term: {to_src(t)}")
+    p = _parts(t)
+    if cls in _MACHINE:
+        op, order = _MACHINE[cls]
+        return kop(op, *[p[i] for i in order])
+    if cls in _CODED:
+        tag, order = _CODED[cls]
+        payload = p[order[0]]
+        for i in order[1:]:
+            payload = kop(K.PAIR, payload, p[i])
+        return kop(K.PAIR, KNum(tag), payload)
+    if cls is Ap:
+        return KApp(*p)
+    if cls is IdPeel:
+        return KApp(p[1], p[0])
+    if cls is Split:
+        return kapp(p[1], kop(K.P0, p[0]), kop(K.P1, p[0]))
+    if cls is When:
+        return KApp(kop(K.IFZ, kop(K.P0, p[0]), p[1], p[2]), kop(K.P1, p[0]))
+    return p[0]                         # Lam and Refl
 
 
 # ---------------------------------------------------------------------------
@@ -258,20 +202,10 @@ class Model:
     """Stage-indexed universe with shared fuel and memoized queries."""
 
     def __init__(self, stage: int = DEFAULT_STAGE, fuel: int = DEFAULT_FUEL,
-                 bound: int = DEFAULT_BOUND, samples: tuple = SAMPLE_POINTS,
-                 list_cap: int = 64, env_samples: int = 3, max_envs: int = 36,
-                 cover_depth: int = 48, scan_cap: int = 8):
+                 bound: int = DEFAULT_BOUND):
         self.stage = stage
         self.budget = Budget(fuel)
         self.bound = bound
-        self.samples = samples
-        self.list_cap = list_cap
-        self.env_samples = env_samples
-        self.max_envs = max_envs
-        self.cover_depth = cover_depth
-        # candidate scans over non-enumerable carriers (Pi, U0) stop after
-        # this many hits; the results are marked inexact either way
-        self.scan_cap = scan_cap
         # compound enumerations are truncated here and marked inexact
         self.members_cap = 4 * bound
         self._set_memo: dict = {}
@@ -294,7 +228,7 @@ class Model:
             return None
 
     def nat_candidates(self) -> list[int]:
-        return list(range(self.bound)) + [s for s in self.samples
+        return list(range(self.bound)) + [s for s in SAMPLE_POINTS
                                           if s >= self.bound]
 
     # -- Set_k --------------------------------------------------------------
@@ -338,14 +272,10 @@ class Model:
         if kind == "plus":
             _, a, b = dec
             return tri_all([self.set_at(a, k - 1), self.set_at(b, k - 1)])
-        if kind == "list":
+        if kind in ("list", "id"):          # the element set or the carrier
             return self.set_at(dec[1], k - 1)
-        if kind == "id":
-            _, a, _, _ = dec
-            return self.set_at(a, k - 1)
         assert kind == "cov"
-        _, a, v, s, i, c = dec
-        return self._star_conditions(a, v, s, i, c, k - 1)
+        return self._star_conditions(*dec[1:], k - 1)
 
     def _star_conditions(self, a, v, s, i, c, k: int) -> Tri:
         parts = [self.set_at(s, k)]
@@ -389,12 +319,9 @@ class Model:
         dec = decode_set(n)
         kind = dec[0]
         result: Tri
-        if kind == "base":
+        if kind == "base":                 # j = 0, 1, 2 for N0, N1, N
             j = dec[1]
-            if j == 2:
-                result = YES
-            else:
-                result = YES if m < j else no(f"{m} is not below {j}")
+            result = YES if j == 2 or m < j else no(f"{m} is not below {j}")
         elif kind in ("sigma", "pi"):
             _, kc, e = dec
             if kind == "sigma":
@@ -426,9 +353,7 @@ class Model:
             else:
                 result = no(f"injection tag {tag} is neither 0 nor 1")
         elif kind == "list":
-            a = dec[1]
-            result = tri_all(self.mem_at(list_component(m, j), a, k - 1)
-                             for j in range(list_length(m)))
+            result = tri_all(self.mem_at(y, dec[1], k - 1) for y in dec_list(m))
         elif kind == "id":
             _, a, b, c = dec
             if m == b == c:
@@ -437,7 +362,7 @@ class Model:
                 result = no(f"{m}, {b}, {c} are not all equal")
         elif kind == "cov":
             _, a, v, s, i, c = dec
-            result = self.in_cover(s, i, c, v, k - 1, a, m, self.cover_depth)
+            result = self.in_cover(s, i, c, v, k - 1, a, m, COVER_DEPTH)
         else:
             result = no("proof codes are not set codes")
         if gate.kind == "unknown" and result.kind == "yes":
@@ -507,25 +432,25 @@ class Model:
         return [], True
 
     def scan(self, test) -> list[int]:
-        """Natural candidates that test says yes to, stopping at scan_cap."""
+        """Natural candidates that test says yes to, stopping at SCAN_CAP."""
         out = []
         for cand in self.nat_candidates():
             if test(cand).kind == "yes":
                 out.append(cand)
-                if len(out) >= self.scan_cap:
+                if len(out) >= SCAN_CAP:
                     break
         return out
 
     def lists_over(self, elems: list[int], exact: bool) -> tuple[list[int], bool]:
-        """Codes of lists over a sample of elements, breadth first to list_cap."""
+        """Codes of lists over a sample of elements, breadth first to LIST_CAP."""
         if not elems:
             return [0], exact
         out, frontier = [0], [0]
-        while frontier and len(out) < self.list_cap:
+        while frontier and len(out) < LIST_CAP:
             nxt = []
             for l in frontier:
                 for m in elems:
-                    if len(out) >= self.list_cap:
+                    if len(out) >= LIST_CAP:
                         break
                     enc = K.snoc(l, m)
                     out.append(enc)
@@ -710,8 +635,7 @@ class ClassExpr:
                 return no(f"injection tag {tag} is neither 0 nor 1")
             case TList(el):
                 elc = self._sub(el)
-                return tri_all(elc.contains(list_component(x, j))
-                               for j in range(list_length(x)))
+                return tri_all(elc.contains(y) for y in dec_list(x))
             case TId(base, lt, rt):
                 va = self.model.eval_term(lt, self.env)
                 vb = self.model.eval_term(rt, self.env)
@@ -806,14 +730,14 @@ def _sample_envs(model: Model, ctx: Context) -> tuple[list[dict[str, int]], bool
                     raise _Vacuous
                 exact = False
                 continue
-            if len(vals) > model.env_samples:
-                vals = vals[:model.env_samples]
+            if len(vals) > ENV_SAMPLES:
+                vals = vals[:ENV_SAMPLES]
                 exact = False
             exact &= ex
             for v in vals:
                 new_envs.append({**env, name: v})
-        envs = new_envs[:model.max_envs]
-        if len(new_envs) > model.max_envs:
+        envs = new_envs[:MAX_ENVS]
+        if len(new_envs) > MAX_ENVS:
             exact = False
     return envs, exact
 
@@ -853,9 +777,8 @@ def _validate_in_env(model: Model, j: Judgment, env: dict[str, int]) -> Tri:
 
 
 def validate_judgment(j: Judgment, stage: int = DEFAULT_STAGE,
-                      fuel: int = DEFAULT_FUEL, bound: int = DEFAULT_BOUND,
-                      model: Model | None = None) -> Tri:
-    model = model or Model(stage=stage, fuel=fuel, bound=bound)
+                      fuel: int = DEFAULT_FUEL, bound: int = DEFAULT_BOUND) -> Tri:
+    model = Model(stage=stage, fuel=fuel, bound=bound)
     if isinstance(j, TypeWF):
         # interpretations are predicates on the naturals in every
         # environment, so formation validity needs no sampling
@@ -882,32 +805,27 @@ def validate_judgment(j: Judgment, stage: int = DEFAULT_STAGE,
 # ---------------------------------------------------------------------------
 
 def set_at_stage(n: int, k: int, fuel: int = DEFAULT_FUEL,
-                 bound: int = DEFAULT_BOUND, model: Model | None = None) -> Tri:
-    model = model or Model(stage=k, fuel=fuel, bound=bound)
-    return model.set_at(n, k)
+                 bound: int = DEFAULT_BOUND) -> Tri:
+    return Model(stage=k, fuel=fuel, bound=bound).set_at(n, k)
 
 
 def mem_at_stage(m: int, n: int, k: int, fuel: int = DEFAULT_FUEL,
-                 bound: int = DEFAULT_BOUND, model: Model | None = None) -> Tri:
-    model = model or Model(stage=k, fuel=fuel, bound=bound)
-    return model.mem_at(m, n, k)
+                 bound: int = DEFAULT_BOUND) -> Tri:
+    return Model(stage=k, fuel=fuel, bound=bound).mem_at(m, n, k)
 
 
 def cover_fixpoint(s: int, i: int, c: int, v: int, k: int,
-                   fuel: int = DEFAULT_FUEL, bound: int = DEFAULT_BOUND,
-                   model: Model | None = None) -> tuple[set[int], bool]:
+                   fuel: int = DEFAULT_FUEL,
+                   bound: int = DEFAULT_BOUND) -> tuple[set[int], bool]:
     """The pairs pair(z, proofcode) of the saturated cover approximation."""
-    model = model or Model(stage=k, fuel=fuel, bound=bound)
-    cover, exact = model.cover_v(s, i, c, v, k)
+    cover, exact = Model(stage=k, fuel=fuel, bound=bound).cover_v(s, i, c, v, k)
     pairs = {pair(z, q) for z, qs in cover.items() for q in qs}
     return pairs, exact
 
 
 def check_realizer(r: int, ty: PreTerm, k: int = DEFAULT_STAGE,
-                   fuel: int = DEFAULT_FUEL, bound: int = DEFAULT_BOUND,
-                   model: Model | None = None) -> Tri:
-    model = model or Model(stage=k, fuel=fuel, bound=bound)
-    return ClassExpr(model, ty, {}).contains(r)
+                   fuel: int = DEFAULT_FUEL, bound: int = DEFAULT_BOUND) -> Tri:
+    return ClassExpr(Model(stage=k, fuel=fuel, bound=bound), ty, {}).contains(r)
 
 
 def realize(t: PreTerm, fuel: int = DEFAULT_FUEL) -> int | KTerm:

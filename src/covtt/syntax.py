@@ -355,11 +355,15 @@ _SIG: dict[type, tuple[tuple[str, int], ...]] = {
     TDec: (("code", 0),),
 }
 
+# Per node class: its hint fields (the compare=False fields, in order); the
+# n-th one keeps the binder names of the n-th field that binds variables.
+_HINTS = {cls: [f.name for f in dataclasses.fields(cls) if not f.compare]
+          for cls in _SIG}
+
 # The bracketed term formers: keyword -> (node class, separator).  Their
 # parts are the class's _SIG fields in order; a field that binds n variables
 # reads "x1 ... xn . body", and its names are kept in the class's next hint
-# field (the compare=False fields, in order).  Parser and printer both read
-# this table.
+# field (_HINTS).  Parser and printer both read this table.
 _FORMS: dict[str, tuple[type, str]] = {
     "succ": (Succ, ","), "natrec": (NatRec, ";"), "unitrec": (UnitRec, ";"),
     "emptyrec": (EmptyRec, ","), "pair": (Pair, ","), "split": (Split, ";"),
@@ -977,10 +981,8 @@ def _pr_binder(body, hints, used) -> tuple[str, str]:
     return " ".join(names), s
 
 
-# node class -> (keyword, separator, hint fields) for each entry of _FORMS
-_FORM_OF = {cls: (kw, sep + " ", [f.name for f in dataclasses.fields(cls)
-                                   if not f.compare])
-            for kw, (cls, sep) in _FORMS.items()}
+# node class -> (keyword, separator) for each entry of _FORMS
+_FORM_OF = {cls: (kw, sep + " ") for kw, (cls, sep) in _FORMS.items()}
 _ATOM_OF = {cls: kw for kw, cls in {**_ATOMS, **_TYPE_ATOMS}.items()}
 
 
@@ -1018,8 +1020,8 @@ def _pr(t: PreTerm, used: set[str]) -> str:
         return _ATOM_OF[cls]
     if cls not in _FORM_OF:
         raise AssertionError(f"unprintable node {t!r}")
-    kw, sep, hint_fields = _FORM_OF[cls]
-    hints = iter(hint_fields)
+    kw, sep = _FORM_OF[cls]
+    hints = iter(_HINTS[cls])
     parts = []
     for name, arity in _SIG[cls]:
         if arity:

@@ -1,6 +1,8 @@
 import io
 import json
 
+import pytest
+
 from covtt import cli
 
 
@@ -98,6 +100,21 @@ def test_cover_query_is_validated_like_a_file_query(corpus_dir, capsys):
         rc, out = run(["cover", path, "--query", query])
         assert (rc, out) == (2, ""), query
         assert message in capsys.readouterr().err, query
+
+
+def test_negative_stage_bound_and_fuel_exit_2(corpus_dir, capsys):
+    path = str(corpus_dir / "ct.judg")
+    for argv in (["verify", path, "--stage", "-1"],
+                 ["verify", path, "--bound", "-1"],
+                 ["verify", path, "--fuel", "-5"],
+                 ["check", path, "--fuel", "-1"],
+                 ["eval", "0", "--fuel", "-1"]):
+        with pytest.raises(SystemExit) as exit_:
+            run(argv)
+        assert exit_.value.code == 2, argv
+        assert "must be >= 0" in capsys.readouterr().err, argv
+    rc, _ = run(["verify", path, "--stage", "0", "--bound", "0", "--fuel", "0"])
+    assert rc in (0, 1)
 
 
 def test_eval_from_file(tmp_path):

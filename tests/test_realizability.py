@@ -3,7 +3,7 @@ import random
 from covtt import kleene as K
 from covtt.kleene import KNum, apply, apply_many, code, eval_kterm, pair
 from covtt.realizability import (
-    Model, N0_CODE, N1_CODE, N_CODE, check_realizer, cover_fixpoint,
+    Model, N0_CODE, N1_CODE, N_CODE, check_realizer, cov_code, cover_fixpoint,
     ct_validate, decode_set, interpret_term, mem_at_stage,
     realize, rf_code, set_at_stage, tr_code, validate, validate_judgment,
 )
@@ -31,6 +31,27 @@ def test_interpretation_clauses():
         "cov(n1hat; x . n1hat; x y . lam z . n0hat; 0; lam z . n1hat)"))
     dec = decode_set(got)
     assert dec[0] == "cov" and dec[1] == 0 and dec[3] == pair(0, 1)
+    # the universe-code formers: pair(tag, left-nested tuple of the parts)
+    assert realize(parse_term("sigmahat(3, 4)")) == pair(1, pair(3, 4)) == 916
+    assert realize(parse_term("pihat(3, 4)")) == pair(2, pair(3, 4)) == 980
+    assert realize(parse_term("plushat(3, 4)")) == pair(3, pair(3, 4)) == 2324
+    assert realize(parse_term("listhat(3)")) == pair(4, 3) == 85
+    assert realize(parse_term("idhat(3, 4, 5)")) == pair(5, pair(pair(3, 4), 5)) \
+        == 120145
+    # decode_set reads every tag 0..8 and nothing else
+    assert decode_set(N0_CODE) == ("base", 0)
+    assert decode_set(N_CODE) == ("base", 2)
+    assert decode_set(pair(1, pair(3, 4))) == ("sigma", 3, 4)
+    assert decode_set(pair(2, pair(3, 4))) == ("pi", 3, 4)
+    assert decode_set(pair(3, pair(3, 4))) == ("plus", 3, 4)
+    assert decode_set(pair(4, 3)) == ("list", 3)
+    assert decode_set(pair(5, pair(pair(3, 4), 5))) == ("id", 3, 4, 5)
+    assert decode_set(cov_code(1, 2, 3, 4, 5)) == ("cov", 1, 2, 3, 4, 5)
+    assert cov_code(1, 2, 3, 4, 5) == pair(6, pair(pair(pair(pair(1, 2), 3), 4), 5))
+    assert decode_set(rf_code(3, 9)) == ("rf", 3, 9)
+    assert decode_set(tr_code(1, 2, 3)) == ("tr", 1, 2, 3)
+    assert decode_set(pair(9, 0)) is None
+    assert decode_set(pair(0, 3)) is None
 
 
 def test_interpretation_computes():
