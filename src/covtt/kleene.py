@@ -19,6 +19,7 @@ from __future__ import annotations
 import itertools
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 
 # Bracket abstraction recurses over combinator spines; give it headroom.
 # Machine evaluation itself is iterative and never deepens the Python stack.
@@ -74,7 +75,10 @@ def pair(n: int, m: int) -> int:
 
 
 def unpair(r: int) -> tuple[int, int]:
-    total = r.bit_length()
+    # start from a closed-form estimate of the total length: it is never
+    # below the answer and at most 3 above it
+    b = r.bit_length()
+    total = b - b.bit_length() + 2
     while _pairs_below(total) > r:
         total -= 1
     rem = r - _pairs_below(total)
@@ -198,15 +202,24 @@ def code(tag: int, args: list[int] | None = None) -> int:
     return pair(tag, enc_list(args or []))
 
 
+@lru_cache(maxsize=1 << 12)     # the machine applies the same few codes often
+def _decoded(e: int) -> tuple[int, tuple[int, ...], int] | None:
+    """(tag, args, payload) of a code, payload being the encoded args; None
+    means the designated diverging program."""
+    tag, payload = unpair(e)
+    arity = ARITY.get(tag)
+    if arity is None:
+        return None
+    args = tuple(dec_list(payload))
+    if len(args) >= arity:
+        return None
+    return tag, args, payload
+
+
 def decode(e: int) -> tuple[int, list[int]] | None:
     """Decode a code; None means the designated diverging program."""
-    tag, payload = unpair(e)
-    if tag not in ARITY:
-        return None
-    args = dec_list(payload)
-    if len(args) >= ARITY[tag]:
-        return None
-    return tag, args
+    dec = _decoded(e)
+    return None if dec is None else (dec[0], list(dec[1]))
 
 
 # Expressions fed to the iterative evaluator: either a value already, or an
@@ -220,105 +233,40 @@ def _app(f: _Expr, *xs: _Expr) -> _Expr:
     return f
 
 
+_AP = ("ap",)
+_REC_CODE, _LREC_CODE = code(REC), code(LREC)
+
+
 def _eval_expr(expr: _Expr, budget: Budget | int) -> int:
     """Evaluate an application tree without growing the Python stack.
 
-    Control stack frames: ("ev", expr) evaluates an expression, ("ap",)
-    applies the two topmost values, ("mu", f, m) resumes an unbounded
-    search, ("tr", e, x, steps0) wraps a finished sub-run into a trace.
+    Control stack entries: an int is a value; ("app", f, x) evaluates f,
+    then x, then applies (at once when both are values already); ("ap",)
+    applies the two topmost values; ("mu", f, m) resumes an unbounded
+    search; ("tr", e, x, steps0) wraps a finished sub-run into a trace.
     An int budget is a fresh step allowance.
     """
     if isinstance(budget, int):
         budget = Budget(budget)
-    control: list[tuple] = [("ev", expr)]
+    control: list = [expr]
     values: list[int] = []
+    push, pop = control.append, control.pop
     while control:
-        frame = control.pop()
+        frame = pop()
+        if type(frame) is int:
+            values.append(frame)
+            continue
         op = frame[0]
-        if op == "ev":
-            e = frame[1]
-            if isinstance(e, int):
-                values.append(e)
-            else:
-                control.append(("ap",))
-                control.append(("ev", e[2]))
-                control.append(("ev", e[1]))
+        if op == "app":
+            _, f, x = frame
+            if type(f) is not int or type(x) is not int:
+                push(_AP)
+                push(x)
+                push(f)
+                continue
         elif op == "ap":
             x = values.pop()
             f = values.pop()
-            budget.tick()
-            dec = decode(f)
-            if dec is None:
-                raise Diverged(f"code {f} diverges by fiat")
-            tag, args = dec
-            if len(args) + 1 < ARITY[tag]:
-                values.append(code(tag, args + [x]))
-                continue
-            a = args + [x]
-            if tag in (K, I):
-                values.append(a[0])
-            elif tag == S:
-                control.append(("ev", _app(_app(a[0], a[2]), _app(a[1], a[2]))))
-            elif tag == SUCC:
-                values.append(a[0] + 1)
-            elif tag == PRED:
-                values.append(a[0] - 1 if a[0] else 0)
-            elif tag == PAIR:
-                values.append(pair(a[0], a[1]))
-            elif tag == P0:
-                values.append(unpair0(a[0]))
-            elif tag == P1:
-                values.append(unpair1(a[0]))
-            elif tag == IFZ:
-                values.append(a[1] if a[0] == 0 else a[2])
-            elif tag == EQ:
-                values.append(0 if a[0] == a[1] else 1)
-            elif tag == REC:
-                z, s, n = a
-                if n == 0:
-                    values.append(z)
-                else:
-                    rest = _app(code(REC), z, s, n - 1)
-                    control.append(("ev", _app(_app(s, n - 1), rest)))
-            elif tag == LREC:
-                d, e2, l = a
-                if l == 0:
-                    values.append(d)
-                else:
-                    front, last = unpair(l - 1)
-                    rest = _app(code(LREC), d, e2, front)
-                    control.append(("ev", _app(e2, front, last, rest)))
-            elif tag == SNOC:
-                values.append(snoc(a[0], a[1]))
-            elif tag == LEN:
-                values.append(list_length(a[0]))
-            elif tag == CPT:
-                values.append(list_component(a[0], a[1]))
-            elif tag == MU:
-                control.append(("mu", a[0], 0))
-                control.append(("ev", _app(a[0], 0)))
-            elif tag == AP:
-                control.append(("ev", _app(a[0], a[1])))
-            elif tag == PAPP:
-                control.append(("ev", _app(a[0], a[1], a[2])))
-            elif tag == IND:
-                q1, q2, m = a
-                kind, *parts = untagged(m) or (None,)
-                if kind == "rf":
-                    z, r = parts
-                    control.append(("ev", _app(q1, z, r)))
-                elif kind == "tr":
-                    z, j, r = parts
-                    aux = _to_expr(c2_aux_term(KNum(q1), KNum(q2), KNum(r)), {})
-                    control.append(("ev", _app(_app(q2, z, j, r), aux)))
-                else:
-                    values.append(0)
-            elif tag == TRACE:
-                e2, x2 = a
-                control.append(("tr", e2, x2, budget.steps))
-                control.append(("ev", _app(e2, x2)))
-            else:
-                raise AssertionError(f"tag {tag}")
         elif op == "mu":
             r = values.pop()
             _, f, m = frame
@@ -326,14 +274,88 @@ def _eval_expr(expr: _Expr, budget: Budget | int) -> int:
                 values.append(m)
             else:
                 budget.tick()
-                control.append(("mu", f, m + 1))
-                control.append(("ev", _app(f, m + 1)))
-        elif op == "tr":
+                push(("mu", f, m + 1))
+                push(_app(f, m + 1))
+            continue
+        else:                                   # "tr"
             r = values.pop()
             _, e2, x2, steps0 = frame
             values.append(pair(pair(e2, x2), pair(steps0 - budget.steps, r)))
+            continue
+        budget.tick()
+        dec = _decoded(f)
+        if dec is None:
+            raise Diverged(f"code {f} diverges by fiat")
+        tag, args, payload = dec
+        if len(args) + 1 < ARITY[tag]:
+            # pair(tag, enc(args + [x])), without re-encoding args
+            values.append(pair(tag, snoc(payload, x)))
+            continue
+        a = (*args, x)
+        if tag in (K, I):
+            values.append(a[0])
+        elif tag == S:
+            push(_app(_app(a[0], a[2]), _app(a[1], a[2])))
+        elif tag == SUCC:
+            values.append(a[0] + 1)
+        elif tag == PRED:
+            values.append(a[0] - 1 if a[0] else 0)
+        elif tag == PAIR:
+            values.append(pair(a[0], a[1]))
+        elif tag == P0:
+            values.append(unpair0(a[0]))
+        elif tag == P1:
+            values.append(unpair1(a[0]))
+        elif tag == IFZ:
+            values.append(a[1] if a[0] == 0 else a[2])
+        elif tag == EQ:
+            values.append(0 if a[0] == a[1] else 1)
+        elif tag == REC:
+            z, s, n = a
+            if n == 0:
+                values.append(z)
+            else:
+                rest = _app(_REC_CODE, z, s, n - 1)
+                push(_app(s, n - 1, rest))
+        elif tag == LREC:
+            d, e2, l = a
+            if l == 0:
+                values.append(d)
+            else:
+                front, last = unpair(l - 1)
+                rest = _app(_LREC_CODE, d, e2, front)
+                push(_app(e2, front, last, rest))
+        elif tag == SNOC:
+            values.append(snoc(a[0], a[1]))
+        elif tag == LEN:
+            values.append(list_length(a[0]))
+        elif tag == CPT:
+            values.append(list_component(a[0], a[1]))
+        elif tag == MU:
+            push(("mu", a[0], 0))
+            push(_app(a[0], 0))
+        elif tag == AP:
+            push(_app(a[0], a[1]))
+        elif tag == PAPP:
+            push(_app(a[0], a[1], a[2]))
+        elif tag == IND:
+            q1, q2, m = a
+            kind, *parts = untagged(m) or (None,)
+            if kind == "rf":
+                z, r = parts
+                push(_app(q1, z, r))
+            elif kind == "tr":
+                z, j, r = parts
+                aux = _to_expr(c2_aux_term(KNum(q1), KNum(q2), KNum(r)), {})
+                push(_app(q2, z, j, r, aux))
+            else:
+                values.append(0)
+        elif tag == TRACE:
+            e2, x2 = a
+            push(("tr", e2, x2, budget.steps))
+            push(_app(e2, x2))
         else:
-            raise AssertionError(frame)
+            raise AssertionError(f"tag {tag}")
     assert len(values) == 1
     return values[0]
 
@@ -444,9 +466,7 @@ def eval_kterm(t: KTerm, env: dict[str, int] | None = None,
     return _eval_expr(_to_expr(t, env or {}), budget)
 
 
-_K_CODE = code(K)
-_I_CODE = code(I)
-_S_CODE = code(S)
+_I_LEAF, _K_LEAF, _S_LEAF = KNum(code(I)), KNum(code(K)), KNum(code(S))
 
 
 def lambda_abstract(t: KTerm, x: str) -> KTerm:
@@ -457,13 +477,20 @@ def lambda_abstract(t: KTerm, x: str) -> KTerm:
     in the model: the value of Λx.t depends only on the values of the free
     subterms of t, never on their syntax.
     """
-    if isinstance(t, KVar) and t.name == x:
-        return KNum(_I_CODE)
-    if x not in kvars(t):
-        return KApp(KNum(_K_CODE), t)
-    assert isinstance(t, KApp)
-    return KApp(KApp(KNum(_S_CODE), lambda_abstract(t.fn, x)),
-                lambda_abstract(t.arg, x))
+    body = _abs(t, x)
+    return KApp(_K_LEAF, t) if body is None else body
+
+
+def _abs(t: KTerm, x: str) -> KTerm | None:
+    """Λx.t in one pass; None when x does not occur in t."""
+    cls = type(t)
+    if cls is KApp:
+        f, a = _abs(t.fn, x), _abs(t.arg, x)
+        if f is None and a is None:
+            return None
+        return KApp(KApp(_S_LEAF, KApp(_K_LEAF, t.fn) if f is None else f),
+                    KApp(_K_LEAF, t.arg) if a is None else a)
+    return _I_LEAF if cls is KVar and t.name == x else None
 
 
 def lambda_abstract_many(t: KTerm, names: list[str]) -> KTerm:

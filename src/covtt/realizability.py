@@ -44,6 +44,12 @@ COVER_DEPTH = 48                # proof depth of a demand-driven cover check
 # candidate scans over non-enumerable carriers (Pi, U0) stop after this many
 # hits; the results are marked inexact either way
 SCAN_CAP = 8
+# exact enumerations are kept whole up to this many members (or members_cap,
+# if larger); past it they are truncated and marked inexact like any other
+EXACT_CAP = 4 * DEFAULT_BOUND
+# table codes kept across Models, oldest dropped first
+_TABLES_CAP = 256
+_TABLES: dict[tuple, tuple[int, int]] = {}    # sorted items -> (code, steps)
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +212,7 @@ class Model:
         self.stage = stage
         self.budget = Budget(fuel)
         self.bound = bound
-        # compound enumerations are truncated here and marked inexact
+        # inexact enumerations are truncated here; exact ones at EXACT_CAP
         self.members_cap = 4 * bound
         self._set_memo: dict = {}
         self._mem_memo: dict = {}
@@ -378,8 +384,9 @@ class Model:
             return self._members_memo[key]
         self._members_memo[key] = ([], False)     # provisional for cycles
         r = self._members(n, k)
-        if len(r[0]) > self.members_cap:
-            r = (r[0][:self.members_cap], False)
+        cap = max(self.members_cap, EXACT_CAP) if r[1] else self.members_cap
+        if len(r[0]) > cap:
+            r = (r[0][:cap], False)
         self._members_memo[key] = r
         return r
 
@@ -531,13 +538,31 @@ class Model:
         return result
 
     def _table_code(self, table: dict[int, int]) -> int:
-        """A code r with {r}(u, t) = table[u] (0 outside the table)."""
+        """A code r with {r}(u, t) = table[u] (0 outside the table).
+
+        A table built before, by any Model, is reused at its first build's
+        exact step cost; a budget that cannot pay it drains as a rebuild would.
+        """
+        items = tuple(sorted(table.items()))
+        budget = self.budget
+        hit = _TABLES.get(items)
+        if hit is not None:
+            r, steps = hit
+            if budget.steps < steps:
+                budget.steps = min(budget.steps, 0)
+                raise Diverged("fuel exhausted")
+            budget.steps -= steps
+            return r
         u, t = kfresh("u"), kfresh("t")
         body: KTerm = KNum(0)
-        for key in sorted(table, reverse=True):
-            body = kop(K.IFZ, kop(K.EQ, KVar(u), KNum(key)),
-                       KNum(table[key]), body)
-        return eval_kterm(lambda_abstract_many(body, [u, t]), {}, self.budget)
+        for key, value in reversed(items):
+            body = kop(K.IFZ, kop(K.EQ, KVar(u), KNum(key)), KNum(value), body)
+        before = budget.steps
+        r = eval_kterm(lambda_abstract_many(body, [u, t]), {}, budget)
+        if len(_TABLES) >= _TABLES_CAP:
+            del _TABLES[next(iter(_TABLES))]
+        _TABLES[items] = (r, before - budget.steps)
+        return r
 
     def in_cover(self, s: int, i: int, c: int, v: int, k: int,
                  z: int, q: int, depth: int) -> Tri:

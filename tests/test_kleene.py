@@ -232,3 +232,283 @@ def test_ct_realizer_fixed_and_pointwise():
     dbl = eval_kterm(lambda_abstract(
         K.kapp(KNum(K.PLUS_CODE), KVar("x"), KVar("x")), "x"))
     assert K.ct_check(dbl)
+
+
+# ---------------------------------------------------------------------------
+# Pinned constants: a change to abstraction or pairing that moves a numeral
+# fails here, by name
+# ---------------------------------------------------------------------------
+
+def test_machine_constants_pinned():
+    assert K.PLUS_CODE == 160652790499302499172536887849365927117
+    assert K.MULT_CODE == int(
+        "58378100441343048783307192261028398882561820567959931923920806813"
+        "61756604145332842131564967456989829997")
+    assert K.CT_REALIZER == int(
+        "27874704655050367609212222528739233273858060711068984704609620530"
+        "930515767391")
+    aux = eval_kterm(K.c2_aux_term(KNum(3), KNum(5), KNum(7)))
+    assert aux == 289623930061026890088626839973917594
+
+
+# ---------------------------------------------------------------------------
+# Differential test against a reference machine written straight from
+# docs/machine.md: loop unpair, kvars-based abstraction, and a full decode
+# and re-encode on every application, evaluated recursively
+# ---------------------------------------------------------------------------
+
+def _ref_unpair(r):
+    total = r.bit_length()
+    while K._pairs_below(total) > r:
+        total -= 1
+    rem = r - K._pairs_below(total)
+    k = rem >> total
+    rem -= k << total
+    lt = total - k
+    vs, vt = rem >> lt, rem & ((1 << lt) - 1)
+    return (1 << k) + vs - 1, (1 << lt) + vt - 1
+
+
+def _ref_dec_list(x):
+    out = []
+    while x:
+        x, last = _ref_unpair(x - 1)
+        out.append(last)
+    return out[::-1]
+
+
+def _ref_abstract(t, x):
+    if isinstance(t, KVar) and t.name == x:
+        return KNum(code(K.I))
+    if x not in K.kvars(t):
+        return KApp(KNum(code(K.K)), t)
+    return KApp(KApp(KNum(code(K.S)), _ref_abstract(t.fn, x)),
+                _ref_abstract(t.arg, x))
+
+
+def _ref_abstract_many(t, names):
+    for x in reversed(names):
+        t = _ref_abstract(t, x)
+    return t
+
+
+class _RefMachine:
+    """{f}(x) by the documented equations; records the tags it executes."""
+
+    def __init__(self, fuel):
+        self.budget = K.Budget(fuel)
+        self.ran = set()
+        self.partial = 0
+
+    def eval(self, t):
+        if isinstance(t, KNum):
+            return t.value
+        return self.ap(self.eval(t.fn), self.eval(t.arg))
+
+    def ap(self, f, x):
+        self.budget.tick()
+        tag, payload = _ref_unpair(f)
+        if tag not in K.ARITY:
+            raise Diverged("unknown tag")
+        args = _ref_dec_list(payload)
+        if len(args) >= K.ARITY[tag]:
+            raise Diverged("overfull")
+        a = args + [x]
+        if len(a) < K.ARITY[tag]:
+            self.partial += 1
+            return code(tag, a)
+        self.ran.add(tag)
+        ap = self.ap
+        if tag in (K.K, K.I):
+            return a[0]
+        if tag == K.S:
+            return ap(ap(a[0], a[2]), ap(a[1], a[2]))
+        if tag == K.SUCC:
+            return a[0] + 1
+        if tag == K.PRED:
+            return max(a[0] - 1, 0)
+        if tag == K.PAIR:
+            return pair(a[0], a[1])
+        if tag in (K.P0, K.P1):
+            return _ref_unpair(a[0])[tag - K.P0]
+        if tag == K.IFZ:
+            return a[1] if a[0] == 0 else a[2]
+        if tag == K.EQ:
+            return 0 if a[0] == a[1] else 1
+        if tag == K.REC:
+            z, s, n = a
+            if n == 0:
+                return z
+            head = ap(s, n - 1)
+            return ap(head, ap(ap(ap(code(K.REC), z), s), n - 1))
+        if tag == K.LREC:
+            d, e, l = a
+            if l == 0:
+                return d
+            front, last = _ref_unpair(l - 1)
+            head = ap(ap(e, front), last)
+            return ap(head, ap(ap(ap(code(K.LREC), d), e), front))
+        if tag == K.SNOC:
+            return pair(a[0], a[1]) + 1
+        if tag == K.LEN:
+            return len(_ref_dec_list(a[0]))
+        if tag == K.CPT:
+            items = _ref_dec_list(a[0])
+            return items[a[1]] if a[1] < len(items) else 0
+        if tag == K.MU:
+            m = 0
+            while ap(a[0], m) != 0:
+                self.budget.tick()
+                m += 1
+            return m
+        if tag == K.AP:
+            return ap(a[0], a[1])
+        if tag == K.PAPP:
+            return ap(ap(a[0], a[1]), a[2])
+        if tag == K.IND:
+            q1, q2, m = a
+            kind, payload = _ref_unpair(m)
+            if kind == 7:
+                z, r = _ref_unpair(payload)
+                return ap(ap(q1, z), r)
+            if kind == 8:
+                zj, r = _ref_unpair(payload)
+                z, j = _ref_unpair(zj)
+                head = ap(ap(ap(q2, z), j), r)
+                body = kop(K.IND, KNum(q1), KNum(q2),
+                           K.kapp(KNum(r), KVar("z'"), KVar("u'")))
+                return ap(head, self.eval(_ref_abstract_many(body, ["z'", "u'"])))
+            return 0
+        assert tag == K.TRACE
+        steps0 = self.budget.steps
+        r = ap(a[0], a[1])
+        return pair(pair(a[0], a[1]), pair(steps0 - self.budget.steps, r))
+
+
+def _ref_counted(e, n, fuel, machine=None):
+    machine = machine or _RefMachine(fuel)
+    try:
+        result = machine.ap(e, n)
+    except Diverged:
+        return None
+    return result, fuel - machine.budget.steps
+
+
+def _leaf_pool(rng):
+    """Leaves for random programs: every instruction, some of them partially
+    applied, small numerals, lists and cover-proof codes for IND."""
+    pool = [KNum(code(tag)) for tag in K.ARITY]
+    pool += [KNum(code(tag, [rng.randrange(4)])) for tag in (K.K, K.EQ, K.PAIR)]
+    pool += [KNum(code(K.K, [code(K.SUCC)])), KNum(K.PLUS_CODE)]
+    pool += [KNum(n) for n in (0, 1, 2, 5)]
+    pool += [KNum(enc_list([1, 0, 2])), KNum(enc_list([3]))]
+    q = code(K.K, [code(K.SUCC)])
+    pool += [KNum(pair(7, pair(2, 1))), KNum(pair(8, pair(pair(1, 0), q))),
+             KNum(pair(9, 4))]
+    return pool
+
+
+def _gen_program(rng, pool, depth, names):
+    if depth == 0 or rng.random() < 0.3:
+        if names and rng.random() < 0.35:
+            return KVar(rng.choice(names))
+        return rng.choice(pool)
+    return KApp(_gen_program(rng, pool, depth - 1, names),
+                _gen_program(rng, pool, depth - 1, names))
+
+
+def _fixed_programs():
+    """Programs known to run the long instructions: recursion, list
+    recursion, search, traces, both IND clauses and the recursion theorem."""
+    f, z, r, x = kfresh("f"), kfresh("z"), kfresh("r"), kfresh("x")
+    dbl = eval_kterm(lambda_abstract(
+        K.kapp(KNum(K.PLUS_CODE), KVar(x), KVar(x)), x))
+    summ = eval_kterm(lambda_abstract(kop(
+        K.LREC, KNum(0),
+        lambda_abstract_many(K.kapp(KNum(K.PLUS_CODE), KVar(z), KVar(r)),
+                             [f, z, r]), KVar(x)), x))
+    eq3 = eval_kterm(lambda_abstract(kop(K.EQ, KVar(x), KNum(3)), x))
+    q1 = eval_kterm(lambda_abstract_many(kop(K.PAIR, KVar(z), KVar(r)), [z, r]))
+    q2 = eval_kterm(lambda_abstract_many(
+        kop(K.PAIR, kop(K.PAIR, KVar("c"), KVar("f")),
+            K.kapp(KVar("f"), KNum(1), KNum(0))),
+        ["a", "b", "c", "f"]))
+    ind = apply_many(code(K.IND), q1, q2)
+    rfn = eval_kterm(lambda_abstract_many(KNum(pair(7, pair(4, 2))), ["u", "t"]))
+    fact = fix_by_recursion_theorem(_factorial_transformer())
+    return [
+        (K.MULT_CODE, 3), (code(K.PAPP, [K.MULT_CODE, 4]), 5),
+        (dbl, 7), (summ, enc_list([1, 2, 3])), (code(K.MU), eq3),
+        (code(K.TRACE, [dbl]), 2), (K.CT_REALIZER, dbl), (fact, 4),
+        (ind, pair(7, pair(3, 9))), (ind, pair(8, pair(pair(2, 1), rfn))),
+        (code(K.MU), code(K.K, [1])),                       # searches forever
+        (code(K.S, [code(K.I), code(K.I)]),
+         code(K.S, [code(K.I), code(K.I)])),                # omega
+        (pair(999, 0), 0), (pair(K.I, enc_list([1, 2])), 0),   # by fiat
+    ]
+
+
+def _counted_term(t, fuel):
+    budget = K.Budget(fuel)
+    try:
+        return eval_kterm(t, {}, budget), fuel - budget.steps
+    except Diverged:
+        return None
+
+
+def _ref_counted_term(t, fuel):
+    machine = _RefMachine(fuel)
+    try:
+        return machine.eval(t), fuel - machine.budget.steps
+    except Diverged:
+        return None
+
+
+def test_machine_matches_reference():
+    rng = random.Random(4242)
+    pool = _leaf_pool(rng)
+    programs = _fixed_programs()
+    for _ in range(1500):
+        names = rng.choice([["x"], ["y", "x"], ["x", "y"]])
+        t = _gen_program(rng, pool, rng.randrange(1, 5), names)
+        # building the program is itself a machine run
+        built = _ref_counted_term(_ref_abstract_many(t, names), 2000)
+        ours = _counted_term(lambda_abstract_many(t, names), 2000)
+        assert ours == built, t
+        if built is not None:
+            programs.append((built[0], rng.randrange(6)))
+    ran, partial = set(), 0
+    for e, n in programs:
+        machine = _RefMachine(3000)
+        want = _ref_counted(e, n, 3000, machine)
+        ran |= machine.ran
+        partial += machine.partial
+        assert apply_counted(e, n, 3000) == want, (e, n)
+        if want is not None:
+            # the same run halts exactly at its step count, not one below
+            _, steps = want
+            assert apply_counted(e, n, steps) == want
+            assert apply_counted(e, n, steps - 1) is None
+            assert _ref_counted(e, n, steps - 1) is None
+    assert ran == set(K.ARITY)             # every instruction executed
+    assert partial > 1000
+
+
+def test_unpair_matches_reference():
+    for r in range(1 << 16):
+        assert unpair(r) == _ref_unpair(r)
+    rng = random.Random(99)
+    for _ in range(10_000):
+        r = rng.getrandbits(rng.randrange(1, 5000))
+        assert unpair(r) == _ref_unpair(r)
+
+
+def test_lambda_abstract_matches_reference():
+    rng = random.Random(31)
+    pool = [KNum(0), KNum(7), KNum(code(K.SUCC)), KVar("w")]
+    for _ in range(2000):
+        t = _gen_program(rng, pool, rng.randrange(0, 7), ["x", "y", "z"])
+        for x in ("x", "y", "q"):
+            assert lambda_abstract(t, x) == _ref_abstract(t, x)
+        assert (lambda_abstract_many(t, ["x", "y", "z"])
+                == _ref_abstract_many(t, ["x", "y", "z"]))

@@ -1,13 +1,20 @@
 import random
 
+import pytest
+
 from covtt import kleene as K
-from covtt.kleene import KNum, apply, apply_many, code, eval_kterm, pair
+from covtt import realizability as R
+from covtt.kleene import (
+    Diverged, KNum, KVar, apply, apply_many, code, eval_kterm, kop, pair,
+)
 from covtt.realizability import (
     Model, N0_CODE, N1_CODE, N_CODE, check_realizer, cov_code, cover_fixpoint,
     ct_validate, decode_set, interpret_term, mem_at_stage,
     realize, rf_code, set_at_stage, tr_code, validate, validate_judgment,
 )
-from covtt.syntax import parse_judgment, parse_term, parse_type, substitute
+from covtt.syntax import (
+    parse_file, parse_judgment, parse_term, parse_type, substitute,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -207,6 +214,111 @@ def test_cover_membership_via_types():
     assert check_realizer(q, ty).kind == "yes"
     assert check_realizer(rf_code(pair(1, 0), 0), ty).kind == "no"
     assert check_realizer(0, ty).kind == "no"
+
+
+def _gen_style_cover():
+    """A cover code's parts as the persistence test's generator builds them:
+    every point has an rf proof and one index whose premise needs all points."""
+    s = pair(3, pair(N1_CODE, N1_CODE))
+    v = code(K.K, [N1_CODE])
+    i = code(K.K, [N1_CODE])
+    c = eval_kterm(K.lambda_abstract_many(KNum(code(K.K, [N1_CODE])),
+                                          ["x", "y"]))
+    return s, i, c, v
+
+
+def _table_cost(table):
+    """Steps of building the table code from scratch, straight from its
+    definition: {r}(u, t) = table[u], 0 outside."""
+    body = KNum(0)
+    for key in sorted(table, reverse=True):
+        body = kop(K.IFZ, kop(K.EQ, KVar("u"), KNum(key)), KNum(table[key]), body)
+    budget = K.Budget(10 ** 6)
+    r = eval_kterm(K.lambda_abstract_many(body, ["u", "t"]), {}, budget)
+    return r, 10 ** 6 - budget.steps
+
+
+def test_table_memo_charges_exact_steps(monkeypatch):
+    monkeypatch.setattr(R, "_TABLES", {})
+    builds = []
+    real_abstract = R.lambda_abstract_many
+
+    def counting(t, names):
+        builds.append(names)
+        return real_abstract(t, names)
+
+    monkeypatch.setattr(R, "lambda_abstract_many", counting)
+    s, i, c, v = _gen_style_cover()
+    cold = Model()
+    got_cold = cold.cover_v(s, i, c, v, 4)
+    assert builds and R._TABLES
+    assert any(decode_set(q)[0] == "tr" for qs in got_cold[0].values() for q in qs)
+    cold_builds = len(builds)
+    warm = Model()
+    got_warm = warm.cover_v(s, i, c, v, 4)
+    assert len(builds) == cold_builds           # every table came from the memo
+    assert got_warm == got_cold
+    assert warm.budget.steps == cold.budget.steps
+    # each stored table costs what building it from scratch costs
+    for items, (r, steps) in list(R._TABLES.items()):
+        assert (r, steps) == _table_cost(dict(items))
+        # a budget one step short fails the same way cold and warm: drained
+        for memo in ({}, {items: (r, steps)}):
+            monkeypatch.setattr(R, "_TABLES", memo)
+            short = Model()
+            short.budget.steps = steps - 1
+            with pytest.raises(Diverged):
+                short._table_code(dict(items))
+            assert short.budget.steps == 0
+            exact = Model()
+            exact.budget.steps = steps
+            assert exact._table_code(dict(items)) == r
+            assert exact.budget.steps == 0
+
+
+def test_members_cap_keeps_exact_enumerations(corpus_dir):
+    # at bound 0 the cap is 0, yet exact finite carriers up to EXACT_CAP stay
+    assert Model(bound=0).members(N1_CODE, 0) == ([0], True)
+    assert Model(bound=0).members(pair(3, pair(N1_CODE, N1_CODE)), 1) == (
+        [pair(0, 0), pair(1, 0)], True)
+    golden = parse_file((corpus_dir / "golden.judg").read_text())
+    at0 = [validate(j, bound=0) for _, j in golden]
+    at1 = [validate(j, bound=1) for _, j in golden]
+    assert at0 == at1
+    assert sum(t.kind == "yes" for t in at0) == 47
+
+
+def test_exact_enumerations_stop_at_exact_cap():
+    # a balanced product of 32 copies of N1 + N1 has 2^32 members; at the
+    # default stage and bound each level stops at EXACT_CAP and is inexact
+    p = K.tagged("plus", N1_CODE, N1_CODE)
+    for _ in range(5):
+        p = K.tagged("sigma", p, code(K.K, [p]))
+    for bound in (0, 1, R.DEFAULT_BOUND):
+        m = Model(bound=bound)
+        members, exact = m.members(p, R.DEFAULT_STAGE)
+        assert len(members) <= R.EXACT_CAP and not exact
+        assert m.set_at(K.tagged("sigma", p, code(K.K, [N_CODE])),
+                        R.DEFAULT_STAGE).kind == "unknown"
+
+
+def test_members_cap_never_reached_exactly_at_default_bound(corpus_dir,
+                                                            monkeypatch):
+    # so keeping exact enumerations whole changes nothing at the default
+    over = []
+    real_members = Model._members
+
+    def spy(self, n, k):
+        got = real_members(self, n, k)
+        if got[1] and len(got[0]) > self.members_cap:
+            over.append((n, k))
+        return got
+
+    monkeypatch.setattr(Model, "_members", spy)
+    for name in ("golden", "ct", "xi"):
+        for _, j in parse_file((corpus_dir / f"{name}.judg").read_text()):
+            validate(j)
+    assert over == []
 
 
 # ---------------------------------------------------------------------------
