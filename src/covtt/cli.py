@@ -14,8 +14,7 @@ import sys
 from . import covers, kernel, realizability
 from .kleene import Diverged, KApp, KNum, KVar
 from .syntax import (
-    CtDirective, SyntaxError_, TypeEq, TypeWF, TermEq, TermOf, parse,
-    parse_file, to_src,
+    PRETYPES, CtDirective, PreTerm, SyntaxError_, parse, parse_file, to_src,
 )
 
 EXIT_OK = 0
@@ -193,8 +192,10 @@ def cmd_examples(args, out) -> int:
 def _parse_term_arg(args):
     src = _read(args.term[len("@"):]) if args.term.startswith("@") else args.term
     t = parse(src)
-    if isinstance(t, (TypeWF, TypeEq, TermOf, TermEq, CtDirective)):
+    if not isinstance(t, PreTerm):
         raise SystemExit2("expected a term, found a judgment")
+    if type(t) in PRETYPES:
+        raise SystemExit2("expected a term, found a type")
     return t
 
 

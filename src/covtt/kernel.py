@@ -21,7 +21,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 
 from .kleene import DEFAULT_FUEL, Budget, Diverged
-from .syntax import _SIG  # field signatures drive the congruence recursion
+# field signatures drive the congruence recursion and the decoding of T(code)
+from .syntax import _HINTS, _SIG, _TYPE_PARTS
 from .syntax import (
     Ap, BVar, Context, Cons, CovHat, EmptyRec, FVar, IdHat, IdPeel, Ind, Inl,
     Inr, Judgment, Lam, ListHat, ListRec, N0Hat, N1Hat, NatRec, NHat, Nil,
@@ -158,31 +159,28 @@ def whnf_step(t: PreTerm) -> PreTerm | None:
     return None
 
 
+# code former -> the type former T(code) decodes to, part for part
+_DECODE = {N0Hat: TN0, N1Hat: TN1, NHat: TN, SigmaHat: TSigma, PiHat: TPi,
+           PlusHat: TSum, ListHat: TList, IdHat: TId}
+
+
 def whnf_type(a: PreTerm, budget: Budget) -> PreTerm:
-    """Head normal form of a pretype; decodes T(code) one former at a time."""
-    while isinstance(a, TDec):
-        code = _whnf(a.code, budget)
-        match code:
-            case N0Hat():
-                return TN0()
-            case N1Hat():
-                return TN1()
-            case NHat():
-                return TN()
-            case SigmaHat(s, t):
-                return TSigma(TDec(s), TDec(Ap(t, BVar(0))), "x")
-            case PiHat(s, t):
-                return TPi(TDec(s), TDec(Ap(t, BVar(0))), "x")
-            case PlusHat(l, r):
-                return TSum(TDec(l), TDec(r))
-            case ListHat(s):
-                return TList(TDec(s))
-            case IdHat(s, l, r):
-                return TId(TDec(s), l, r)
-            case _:
-                # CovHat is a canonical type head; anything else is stuck.
-                return TDec(code)
-    return a
+    """Head normal form of a pretype; decodes T(code) one former at a time.
+    A code part c becomes the type part T(c), or T(Ap(c, x)) under a binder;
+    a term part is kept."""
+    if not isinstance(a, TDec):
+        return a
+    code = _whnf(a.code, budget)
+    cls = _DECODE.get(type(code))
+    if cls is None:
+        # CovHat is a canonical type head; anything else is stuck.
+        return TDec(code)
+    parts = []
+    sig = zip(_SIG[type(code)], _SIG[cls], _TYPE_PARTS[cls])
+    for (name, _), (_, arity), is_type in sig:
+        part = getattr(code, name)
+        parts.append(TDec(Ap(part, BVar(0)) if arity else part) if is_type else part)
+    return cls(*parts)
 
 
 # ---------------------------------------------------------------------------
@@ -190,30 +188,21 @@ def whnf_type(a: PreTerm, budget: Budget) -> PreTerm:
 # ---------------------------------------------------------------------------
 
 def _eq_type(ctx: Context, a: PreTerm, b: PreTerm, budget: Budget) -> None:
+    """Congruence over the parts of the head pretypes, as _eq_term_in: a type
+    part compares here, under a binder with one fresh variable, and a term
+    part compares with _eq_term_in."""
     wa = whnf_type(a, budget)
     wb = whnf_type(b, budget)
-    if type(wa) is not type(wb):
+    cls = type(wa)
+    if cls is not type(wb):
         raise CheckFailure("eq-type", f"{to_src(wa)} and {to_src(wb)} differ")
-    match wa:
-        case TN0() | TN1() | TN() | TU0():
-            return
-        case TSigma(dom, _) | TPi(dom, _):
-            _eq_type(ctx, dom, wb.dom, budget)
-            x = FVar(fresh_name(wa.hint))
-            _eq_type(ctx, instantiate(wa.cod, (x,)), instantiate(wb.cod, (x,)), budget)
-        case TSum(l, r):
-            _eq_type(ctx, l, wb.left, budget)
-            _eq_type(ctx, r, wb.right, budget)
-        case TList(e):
-            _eq_type(ctx, e, wb.elem, budget)
-        case TId(ty, l, r):
-            _eq_type(ctx, ty, wb.ty, budget)
-            _eq_term_in(ctx, l, wb.lhs, budget)
-            _eq_term_in(ctx, r, wb.rhs, budget)
-        case TDec(code):
-            _eq_term_in(ctx, code, wb.code, budget)
-        case _:
-            raise AssertionError(f"non-type head {wa!r}")
+    hints = iter(_HINTS[cls])
+    for (name, arity), is_type in zip(_SIG[cls], _TYPE_PARTS[cls]):
+        pa, pb = getattr(wa, name), getattr(wb, name)
+        if arity:
+            x = FVar(fresh_name(getattr(wa, next(hints))))
+            pa, pb = instantiate(pa, (x,)), instantiate(pb, (x,))
+        (_eq_type if is_type else _eq_term_in)(ctx, pa, pb, budget)
 
 
 def _eq_term_in(ctx: Context, a: PreTerm, b: PreTerm, budget: Budget) -> None:

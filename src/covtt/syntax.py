@@ -48,6 +48,16 @@ def _hints(*names: str):
     return field(default=tuple(names), compare=False, repr=False)
 
 
+def _binds(n: int):
+    """A part under n bound variables; their names go to the next hint field."""
+    return field(metadata={"binds": n})
+
+
+def _term():
+    """A part of a pretype that is a term, not a type."""
+    return field(metadata={"term": True})
+
+
 # -- variables ---------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -76,7 +86,7 @@ class Succ(PreTerm):
 class NatRec(PreTerm):
     scrut: PreTerm
     base: PreTerm
-    step: PreTerm                       # binds (k, prev)
+    step: PreTerm = _binds(2)           # (k, prev)
     step_hints: tuple = _hints("k", "r")
 
 
@@ -109,7 +119,7 @@ class Pair(PreTerm):
 @dataclass(frozen=True)
 class Split(PreTerm):
     scrut: PreTerm
-    body: PreTerm                       # binds (a, b)
+    body: PreTerm = _binds(2)           # (a, b)
     body_hints: tuple = _hints("a", "b")
 
 
@@ -117,7 +127,7 @@ class Split(PreTerm):
 
 @dataclass(frozen=True)
 class Lam(PreTerm):
-    body: PreTerm                       # binds one variable
+    body: PreTerm = _binds(1)
     hint: str = _hint("x")
 
 
@@ -142,8 +152,8 @@ class Inr(PreTerm):
 @dataclass(frozen=True)
 class When(PreTerm):
     scrut: PreTerm
-    left: PreTerm                       # binds one variable
-    right: PreTerm                      # binds one variable
+    left: PreTerm = _binds(1)
+    right: PreTerm = _binds(1)
     left_hint: str = _hint("a")
     right_hint: str = _hint("b")
 
@@ -165,7 +175,7 @@ class Cons(PreTerm):
 class ListRec(PreTerm):
     scrut: PreTerm
     base: PreTerm
-    step: PreTerm                       # binds (init, last, prev)
+    step: PreTerm = _binds(3)           # (init, last, prev)
     step_hints: tuple = _hints("t", "a", "r")
 
 
@@ -179,7 +189,7 @@ class Refl(PreTerm):
 @dataclass(frozen=True)
 class IdPeel(PreTerm):
     scrut: PreTerm
-    body: PreTerm                       # binds one variable
+    body: PreTerm = _binds(1)
     body_hint: str = _hint("x")
 
 
@@ -201,8 +211,8 @@ class Tr(PreTerm):
 @dataclass(frozen=True)
 class Ind(PreTerm):
     scrut: PreTerm
-    base: PreTerm                       # binds (x, w)
-    step: PreTerm                       # binds (x, h, k, f)
+    base: PreTerm = _binds(2)           # (x, w)
+    step: PreTerm = _binds(4)           # (x, h, k, f)
     base_hints: tuple = _hints("x", "w")
     step_hints: tuple = _hints("x", "h", "k", "f")
 
@@ -259,8 +269,8 @@ class CovHat(PreTerm):
     """Code of the cover proposition: cov(s; x. i; x y. c; a; v)."""
 
     base: PreTerm                       # s, code of the carrier set
-    idx: PreTerm                        # i, binds x
-    cov: PreTerm                        # c, binds (x, y)
+    idx: PreTerm = _binds(1)            # i, binds x
+    cov: PreTerm = _binds(2)            # c, binds (x, y)
     elem: PreTerm                       # a
     sub: PreTerm                        # v
     idx_hint: str = _hint("x")
@@ -292,14 +302,14 @@ class TU0(PreTerm):
 @dataclass(frozen=True)
 class TSigma(PreTerm):
     dom: PreTerm
-    cod: PreTerm                        # binds one variable
+    cod: PreTerm = _binds(1)
     hint: str = _hint("x")
 
 
 @dataclass(frozen=True)
 class TPi(PreTerm):
     dom: PreTerm
-    cod: PreTerm                        # binds one variable
+    cod: PreTerm = _binds(1)
     hint: str = _hint("x")
 
 
@@ -317,43 +327,23 @@ class TList(PreTerm):
 @dataclass(frozen=True)
 class TId(PreTerm):
     ty: PreTerm
-    lhs: PreTerm
-    rhs: PreTerm
+    lhs: PreTerm = _term()
+    rhs: PreTerm = _term()
 
 
 @dataclass(frozen=True)
 class TDec(PreTerm):
     """T(a): the type decoded from the universe code a."""
 
-    code: PreTerm
+    code: PreTerm = _term()
 
 
-# Per node class: (field name, number of variables the field binds).
+# Per node class: (field name, number of variables the field binds), read off
+# the dataclass fields; the name or index of a variable is not a part.
 _SIG: dict[type, tuple[tuple[str, int], ...]] = {
-    BVar: (), FVar: (),
-    Zero: (), Succ: (("arg", 0),),
-    NatRec: (("scrut", 0), ("base", 0), ("step", 2)),
-    Star: (), UnitRec: (("scrut", 0), ("base", 0)), EmptyRec: (("scrut", 0),),
-    Pair: (("fst", 0), ("snd", 0)), Split: (("scrut", 0), ("body", 2)),
-    Lam: (("body", 1),), Ap: (("fn", 0), ("arg", 0)),
-    Inl: (("arg", 0),), Inr: (("arg", 0),),
-    When: (("scrut", 0), ("left", 1), ("right", 1)),
-    Nil: (), Cons: (("init", 0), ("last", 0)),
-    ListRec: (("scrut", 0), ("base", 0), ("step", 3)),
-    Refl: (("arg", 0),), IdPeel: (("scrut", 0), ("body", 1)),
-    Rf: (("elem", 0), ("mem", 0)), Tr: (("elem", 0), ("idx", 0), ("fn", 0)),
-    Ind: (("scrut", 0), ("base", 2), ("step", 4)),
-    N0Hat: (), N1Hat: (), NHat: (),
-    SigmaHat: (("base", 0), ("fam", 0)), PiHat: (("base", 0), ("fam", 0)),
-    PlusHat: (("left", 0), ("right", 0)), ListHat: (("base", 0),),
-    IdHat: (("base", 0), ("lhs", 0), ("rhs", 0)),
-    CovHat: (("base", 0), ("idx", 1), ("cov", 2), ("elem", 0), ("sub", 0)),
-    TN0: (), TN1: (), TN: (), TU0: (),
-    TSigma: (("dom", 0), ("cod", 1)), TPi: (("dom", 0), ("cod", 1)),
-    TSum: (("left", 0), ("right", 0)), TList: (("elem", 0),),
-    TId: (("ty", 0), ("lhs", 0), ("rhs", 0)),
-    TDec: (("code", 0),),
-}
+    cls: () if cls in (BVar, FVar) else tuple((f.name, f.metadata.get("binds", 0))
+                                              for f in dataclasses.fields(cls) if f.compare)
+    for cls in PreTerm.__subclasses__()}
 
 # Per node class: its hint fields (the compare=False fields, in order); the
 # n-th one keeps the binder names of the n-th field that binds variables.
@@ -374,8 +364,16 @@ _FORMS: dict[str, tuple[type, str]] = {
     "pihat": (PiHat, ","), "plushat": (PlusHat, ","),
     "listhat": (ListHat, ","), "idhat": (IdHat, ","), "cov": (CovHat, ";"),
 }
+# The bracketed type formers, read like _FORMS; a part marked _term() is a term.
+_TYPE_FORMS = {"Sum": (TSum, ","), "List": (TList, ","), "Id": (TId, ","),
+               "T": (TDec, ",")}
 _ATOMS = {"star": Star, "nil": Nil, "n0hat": N0Hat, "n1hat": N1Hat, "nhat": NHat}
 _TYPE_ATOMS = {"N0": TN0, "N1": TN1, "N": TN, "U0": TU0}
+PRETYPES = frozenset({TSigma, TPi, *_TYPE_ATOMS.values(),
+                      *(cls for cls, _ in _TYPE_FORMS.values())})
+# Per pretype class: whether each of its _SIG parts is a type (else a term).
+_TYPE_PARTS = {cls: tuple(not f.metadata.get("term") for f in dataclasses.fields(cls)
+                          if f.compare) for cls in PRETYPES}
 
 
 # ---------------------------------------------------------------------------
@@ -560,6 +558,15 @@ class TermEq:
 
 Judgment = TypeWF | TypeEq | TermOf | TermEq
 
+# The judgment forms: keyword -> (class, and for each part after the context
+# the token before it and whether it is a type).  Parser and printer read this.
+_JUDGMENTS: dict[str, tuple[type, tuple[tuple[str, bool], ...]]] = {
+    "type": (TypeWF, (("|-", True),)),
+    "typeeq": (TypeEq, (("|-", True), ("==", True))),
+    "term": (TermOf, (("|-", False), (":", True))),
+    "termeq": (TermEq, (("|-", False), ("==", False), (":", True))),
+}
+
 
 @dataclass(frozen=True)
 class CtDirective:
@@ -636,17 +643,20 @@ def _lex(src: str) -> list[_Tok]:
 
 
 def _parse_spec(cls: type, sep: str) -> tuple:
-    """The node class and, per part, its binder arity and closing token."""
+    """The node class and, per part, its binder arity, whether it is a type,
+    and its closing token."""
     arities = [arity for _, arity in _SIG[cls]]
+    types = _TYPE_PARTS.get(cls, [False] * len(arities))
     closers = [sep] * (len(arities) - 1) + [")"]
-    return cls, tuple(zip(arities, closers))
+    return cls, tuple(zip(arities, types, closers))
 
 
 _PARSE_FORM = {kw: _parse_spec(cls, sep) for kw, (cls, sep) in _FORMS.items()}
+_PARSE_TYPE_FORM = {kw: _parse_spec(cls, sep) for kw, (cls, sep) in _TYPE_FORMS.items()}
 
-TYPE_KEYWORDS = {*_TYPE_ATOMS, "Sigma", "Pi", "Sum", "List", "Id", "T"}
+TYPE_KEYWORDS = {*_TYPE_ATOMS, *_TYPE_FORMS, "Sigma", "Pi"}
 TERM_KEYWORDS = {*_FORMS, *_ATOMS, "lam"}
-JUDGMENT_KEYWORDS = {"type", "typeeq", "term", "termeq", "ct"}
+JUDGMENT_KEYWORDS = {*_JUDGMENTS, "ct"}
 KEYWORDS = TYPE_KEYWORDS | TERM_KEYWORDS | JUDGMENT_KEYWORDS
 
 
@@ -702,7 +712,10 @@ class _Parser:
     # -- types ---------------------------------------------------------------
 
     def type_(self) -> PreTerm:
-        lhs = self.type_atom()
+        # a bracketed former is read here, not in type_atom, so each level of
+        # nesting costs two Python frames, as in term
+        form = _PARSE_TYPE_FORM.get(self.peek().text)
+        lhs = self.type_atom() if form is None else self.form(form)
         if self.peek().text == "->":
             self.next()
             # the codomain sits under one binder in the tree even though no
@@ -737,36 +750,6 @@ class _Parser:
             self.unbind(1)
             cls = TSigma if kw == "Sigma" else TPi
             return cls(dom, cod, x)
-        if kw == "Sum":
-            self.next()
-            self.expect("(")
-            a = self.type_()
-            self.expect(",")
-            b = self.type_()
-            self.expect(")")
-            return TSum(a, b)
-        if kw == "List":
-            self.next()
-            self.expect("(")
-            a = self.type_()
-            self.expect(")")
-            return TList(a)
-        if kw == "Id":
-            self.next()
-            self.expect("(")
-            a = self.type_()
-            self.expect(",")
-            l = self.term()
-            self.expect(",")
-            r = self.term()
-            self.expect(")")
-            return TId(a, l, r)
-        if kw == "T":
-            self.next()
-            self.expect("(")
-            a = self.term()
-            self.expect(")")
-            return TDec(a)
         raise self.fail(f"expected a type, found {kw!r}")
 
     # -- terms ---------------------------------------------------------------
@@ -806,15 +789,16 @@ class _Parser:
             return Lam(body, x)
         raise self.fail(f"expected a term, found {kw!r}")
 
-    def form(self, spec: tuple[type, tuple[tuple[int, str], ...]]) -> PreTerm:
-        """A bracketed former of _FORMS.  Binder names are read here, not in
-        a helper, so each level of nesting costs two Python frames; spec is
-        passed whole because a starred call would also nest the C stack."""
+    def form(self, spec: tuple[type, tuple[tuple[int, bool, str], ...]]) -> PreTerm:
+        """A bracketed former of _FORMS or _TYPE_FORMS.  Binder names are read
+        here, not in a helper, so each level of nesting costs two Python
+        frames; spec is passed whole because a starred call would also nest
+        the C stack."""
         cls, fields = spec
         self.next()
         self.expect("(")
         parts, hints = [], ()
-        for arity, close in fields:
+        for arity, is_type, close in fields:
             if arity:
                 names = [self.ident() for _ in range(arity)]
                 if len(set(names)) != arity:
@@ -825,7 +809,7 @@ class _Parser:
                 self.unbind(arity)
                 hints += (names[0] if arity == 1 else tuple(names),)
             else:
-                parts.append(self.term())
+                parts.append(self.type_() if is_type else self.term())
             self.expect(close)
         return cls(*parts, *hints)
 
@@ -855,28 +839,17 @@ class _Parser:
         kw = self.next()
         if kw.text == "ct":
             return CtDirective(self.term())
-        if kw.text not in ("type", "typeeq", "term", "termeq"):
+        if kw.text not in _JUDGMENTS:
             raise SyntaxError_(f"expected a judgment keyword, found {kw.text!r}",
                                kw.line, kw.col)
         if self.declared is None:
             self.declared = set()
-        ctx = self.context()
-        self.expect("|-")
-        if kw.text == "type":
-            return TypeWF(ctx, self.type_())
-        if kw.text == "typeeq":
-            a = self.type_()
-            self.expect("==")
-            return TypeEq(ctx, a, self.type_())
-        if kw.text == "term":
-            a = self.term()
-            self.expect(":")
-            return TermOf(ctx, a, self.type_())
-        a = self.term()
-        self.expect("==")
-        b = self.term()
-        self.expect(":")
-        return TermEq(ctx, a, b, self.type_())
+        cls, marks = _JUDGMENTS[kw.text]
+        parts = [self.context()]
+        for token, is_type in marks:
+            self.expect(token)
+            parts.append(self.type_() if is_type else self.term())
+        return cls(*parts)
 
     def done(self):
         t = self.peek()
@@ -981,9 +954,10 @@ def _pr_binder(body, hints, used) -> tuple[str, str]:
     return " ".join(names), s
 
 
-# node class -> (keyword, separator) for each entry of _FORMS
-_FORM_OF = {cls: (kw, sep + " ") for kw, (cls, sep) in _FORMS.items()}
+# node class -> (keyword, separator) for each entry of _FORMS and _TYPE_FORMS
+_FORM_OF = {cls: (kw, sep + " ") for kw, (cls, sep) in {**_FORMS, **_TYPE_FORMS}.items()}
 _ATOM_OF = {cls: kw for kw, cls in {**_ATOMS, **_TYPE_ATOMS}.items()}
+_JUDGMENT_OF = {cls: kw for kw, (cls, _) in _JUDGMENTS.items()}
 
 
 def _pr(t: PreTerm, used: set[str]) -> str:
@@ -1007,14 +981,6 @@ def _pr(t: PreTerm, used: set[str]) -> str:
             kw = "Sigma" if isinstance(t, TSigma) else "Pi"
             xs, body = _pr_binder(t.cod, t.hint, used)
             return f"{kw} {xs} : {_pr(dom, used)} . {body}"
-        case TSum(a, b):
-            return f"Sum({_pr(a, used)}, {_pr(b, used)})"
-        case TList(a):
-            return f"List({_pr(a, used)})"
-        case TId(a, l, r):
-            return f"Id({_pr(a, used)}, {_pr(l, used)}, {_pr(r, used)})"
-        case TDec(a):
-            return f"T({_pr(a, used)})"
     cls = type(t)
     if cls in _ATOM_OF:
         return _ATOM_OF[cls]
@@ -1046,27 +1012,13 @@ def _uses_bound(body: PreTerm, depth: int = 0) -> bool:
 def judgment_to_src(j: Judgment | CtDirective) -> str:
     if isinstance(j, CtDirective):
         return f"ct {to_src(j.fn)}"
+    kw = _JUDGMENT_OF[type(j)]
+    parts = [getattr(j, f.name) for f in dataclasses.fields(j)[1:]]
     used = set()
     for _, ty in j.ctx.entries:
         used |= free_vars(ty)
-    for part in _judgment_parts(j):
+    for part in parts:
         used |= free_vars(part)
     ctx = "[" + ", ".join(f"{n} : {to_src(ty, set(used))}" for n, ty in j.ctx.entries) + "]"
-    if isinstance(j, TypeWF):
-        return f"type {ctx} |- {to_src(j.ty, set(used))}"
-    if isinstance(j, TypeEq):
-        return f"typeeq {ctx} |- {to_src(j.lhs, set(used))} == {to_src(j.rhs, set(used))}"
-    if isinstance(j, TermOf):
-        return f"term {ctx} |- {to_src(j.term, set(used))} : {to_src(j.ty, set(used))}"
-    return (f"termeq {ctx} |- {to_src(j.lhs, set(used))} == "
-            f"{to_src(j.rhs, set(used))} : {to_src(j.ty, set(used))}")
-
-
-def _judgment_parts(j: Judgment) -> list[PreTerm]:
-    if isinstance(j, TypeWF):
-        return [j.ty]
-    if isinstance(j, TypeEq):
-        return [j.lhs, j.rhs]
-    if isinstance(j, TermOf):
-        return [j.term, j.ty]
-    return [j.lhs, j.rhs, j.ty]
+    return f"{kw} {ctx}" + "".join(f" {token} {to_src(part, set(used))}"
+                                   for (token, _), part in zip(_JUDGMENTS[kw][1], parts))

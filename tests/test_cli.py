@@ -117,6 +117,14 @@ def test_negative_stage_bound_and_fuel_exit_2(corpus_dir, capsys):
     assert rc in (0, 1)
 
 
+def test_eval_and_realize_reject_a_type(capsys):
+    for command in ("eval", "realize"):
+        for src in ("N", "(N -> N)", "Sigma x : N . T(x)", "Id(N, 0, 0)"):
+            rc, out = run([command, src])
+            assert (rc, out) == (2, ""), (command, src)
+            assert capsys.readouterr().err == "error: expected a term, found a type\n"
+
+
 def test_eval_from_file(tmp_path):
     f = tmp_path / "t.term"
     f.write_text("Ap(lam x . succ(x), 1)\n")

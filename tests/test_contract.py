@@ -36,6 +36,9 @@ def _cases() -> dict[str, list[str]]:
         "check_fuel_structured": ["check", str(DATA / "fuel.judg"),
                                   "--fuel", "50", "--format", "structured"],
         "check_syntax_error": ["check", str(DATA / "bad.judg")],
+        "check_types": ["check", str(DATA / "types.judg")],
+        "verify_types_structured": ["verify", str(DATA / "types.judg"),
+                                    "--format", "structured"],
         "eval_syntax_error": ["eval", "succ(0"],
         "cover_cantor2": ["cover", str(CORPUS / "cantor2.cover")],
         "cover_cantor2_structured": ["cover", str(CORPUS / "cantor2.cover"),
