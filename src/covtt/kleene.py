@@ -17,6 +17,7 @@ trace format used by the T predicate and the U extractor.
 from __future__ import annotations
 
 import itertools
+import math
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
@@ -42,6 +43,15 @@ class Budget:
         if self.steps <= 0:
             raise Diverged("fuel exhausted")
         self.steps -= 1
+
+    def charge(self, steps):
+        """Pay for a run known to take this many ticks, exactly as running it
+        would: a budget that cannot pay drains to min(steps left, 0), where
+        the run's failing tick would leave it, and raises Diverged."""
+        if self.steps < steps:
+            self.steps = min(self.steps, 0)
+            raise Diverged("fuel exhausted")
+        self.steps -= steps
 
 
 # ---------------------------------------------------------------------------
@@ -332,6 +342,12 @@ def _eval_expr(expr: _Expr, budget: Budget | int) -> int:
         elif tag == CPT:
             values.append(list_component(a[0], a[1]))
         elif tag == MU:
+            fd = _decoded(a[0])
+            if fd is not None and len(fd[1]) + 1 < ARITY[fd[0]]:
+                # {f}(m) is a partial-application code, never 0: the search
+                # would tick twice per candidate until the budget ran out, so
+                # drain it there at once
+                budget.charge(math.inf)
             push(("mu", a[0], 0))
             push(_app(a[0], 0))
         elif tag == AP:

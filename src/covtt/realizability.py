@@ -50,6 +50,9 @@ EXACT_CAP = 4 * DEFAULT_BOUND
 # table codes kept across Models, oldest dropped first
 _TABLES_CAP = 256
 _TABLES: dict[tuple, tuple[int, int]] = {}    # sorted items -> (code, steps)
+# halted applications a Model keeps, and the largest result it keeps, in bits
+_APPLY_CAP = 4096
+_APPLY_BITS = 256
 
 
 # ---------------------------------------------------------------------------
@@ -218,14 +221,27 @@ class Model:
         self._mem_memo: dict = {}
         self._members_memo: dict = {}
         self._cover_memo: dict = {}
+        self._apply_memo: dict = {}     # (e, *args) -> (result, steps)
 
     # -- machine helpers ----------------------------------------------------
 
     def apply(self, e: int, *args: int) -> int | None:
+        """{e}(args), or None when the budget runs out.  A run this Model
+        made before is charged its exact step count instead of run again."""
+        budget = self.budget
+        key = (e, *args)
         try:
-            return K.apply_many(e, *args, budget=self.budget)
+            hit = self._apply_memo.get(key)
+            if hit is not None:
+                budget.charge(hit[1])
+                return hit[0]
+            before = budget.steps
+            r = K.apply_many(e, *args, budget=budget)
         except Diverged:
             return None
+        if len(self._apply_memo) < _APPLY_CAP and r.bit_length() <= _APPLY_BITS:
+            self._apply_memo[key] = (r, before - budget.steps)
+        return r
 
     def eval_term(self, t: PreTerm, env: dict[str, int]) -> int | None:
         try:
@@ -547,12 +563,8 @@ class Model:
         budget = self.budget
         hit = _TABLES.get(items)
         if hit is not None:
-            r, steps = hit
-            if budget.steps < steps:
-                budget.steps = min(budget.steps, 0)
-                raise Diverged("fuel exhausted")
-            budget.steps -= steps
-            return r
+            budget.charge(hit[1])
+            return hit[0]
         u, t = kfresh("u"), kfresh("t")
         body: KTerm = KNum(0)
         for key, value in reversed(items):

@@ -1,7 +1,9 @@
-"""covtt stays standard-library only: every absolute import in src/covtt
-names a module of the standard library."""
+"""Guards over src/covtt as a whole: it stays standard-library only, and
+every function cache it keeps has a finite size."""
 
 import ast
+import importlib
+import inspect
 import sys
 from pathlib import Path
 
@@ -21,3 +23,18 @@ def test_src_imports_only_the_standard_library():
                 continue
             for name in names:
                 assert name.split(".")[0] in sys.stdlib_module_names, (path.name, name)
+
+
+def test_every_lru_cache_is_bounded():
+    """A cache without a maxsize would trade memory for speed silently."""
+    found = {}
+    for path in sorted(SRC.glob("*.py")):
+        module = importlib.import_module(f"covtt.{path.stem}")
+        scopes = [module] + [c for c in vars(module).values()
+                             if inspect.isclass(c) and c.__module__ == module.__name__]
+        for scope in scopes:
+            for name, obj in vars(scope).items():
+                if hasattr(obj, "cache_parameters"):
+                    found[name] = obj.cache_parameters()["maxsize"]
+    assert {"_decoded", "decode_set"} <= set(found)
+    assert all(size is not None for size in found.values()), found

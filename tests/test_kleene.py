@@ -385,13 +385,23 @@ class _RefMachine:
         return pair(pair(a[0], a[1]), pair(steps0 - self.budget.steps, r))
 
 
-def _ref_counted(e, n, fuel, machine=None):
+def _ref_run(e, n, fuel, machine=None):
+    """(result or None, steps left) of {e}(n) on the reference machine."""
     machine = machine or _RefMachine(fuel)
     try:
-        result = machine.ap(e, n)
+        return machine.ap(e, n), machine.budget.steps
     except Diverged:
-        return None
-    return result, fuel - machine.budget.steps
+        return None, machine.budget.steps
+
+
+def _run(e, n, fuel):
+    """(result or None, steps left) of {e}(n): a run that diverges must leave
+    the budget exactly where the reference machine leaves it."""
+    budget = K.Budget(fuel)
+    try:
+        return apply(e, n, budget), budget.steps
+    except Diverged:
+        return None, budget.steps
 
 
 def _leaf_pool(rng):
@@ -451,17 +461,17 @@ def _fixed_programs():
 def _counted_term(t, fuel):
     budget = K.Budget(fuel)
     try:
-        return eval_kterm(t, {}, budget), fuel - budget.steps
+        return eval_kterm(t, {}, budget), budget.steps
     except Diverged:
-        return None
+        return None, budget.steps
 
 
 def _ref_counted_term(t, fuel):
     machine = _RefMachine(fuel)
     try:
-        return machine.eval(t), fuel - machine.budget.steps
+        return machine.eval(t), machine.budget.steps
     except Diverged:
-        return None
+        return None, machine.budget.steps
 
 
 def test_machine_matches_reference():
@@ -475,23 +485,73 @@ def test_machine_matches_reference():
         built = _ref_counted_term(_ref_abstract_many(t, names), 2000)
         ours = _counted_term(lambda_abstract_many(t, names), 2000)
         assert ours == built, t
-        if built is not None:
+        if built[0] is not None:
             programs.append((built[0], rng.randrange(6)))
     ran, partial = set(), 0
     for e, n in programs:
         machine = _RefMachine(3000)
-        want = _ref_counted(e, n, 3000, machine)
+        want = _ref_run(e, n, 3000, machine)
         ran |= machine.ran
         partial += machine.partial
-        assert apply_counted(e, n, 3000) == want, (e, n)
-        if want is not None:
+        assert _run(e, n, 3000) == want, (e, n)
+        result, left = want
+        if result is not None:
             # the same run halts exactly at its step count, not one below
-            _, steps = want
-            assert apply_counted(e, n, steps) == want
-            assert apply_counted(e, n, steps - 1) is None
-            assert _ref_counted(e, n, steps - 1) is None
+            steps = 3000 - left
+            assert apply_counted(e, n, 3000) == (result, steps)
+            assert _run(e, n, steps) == (result, 0)
+            assert _run(e, n, steps - 1) == (None, 0)
+            assert _ref_run(e, n, steps - 1) == (None, 0)
     assert ran == set(K.ARITY)             # every instruction executed
     assert partial > 1000
+
+
+def _searches_over_partial_applications():
+    """{MU}(f) for f every instruction with 0 to arity - 2 arguments collected:
+    {f}(m) is then a code, never 0, so the search never halts.  Each search is
+    also run nested under TRACE, PAPP and S, as (program, argument) pairs."""
+    for tag, arity in K.ARITY.items():
+        for n_args in range(arity - 1):
+            f = code(tag, [tag + j for j in range(n_args)])
+            yield code(K.MU), f
+            yield code(K.TRACE, [code(K.MU)]), f
+            yield code(K.PAPP, [code(K.MU), f]), 0
+            yield code(K.S, [code(K.K, [code(K.MU)]), code(K.K, [f])]), 0
+
+
+def test_divergent_searches_leave_the_reference_budget():
+    runs = list(_searches_over_partial_applications())
+    assert len(runs) == 4 * 19
+    for e, n in runs:
+        for fuel in (-1, 0, 1, 2, 3, 2000, 2001):
+            got = _run(e, n, fuel)
+            assert got == _ref_run(e, n, fuel), (e, n, fuel)
+            assert got == (None, min(fuel, 0))
+
+
+class _CountingBudget(K.Budget):
+    __slots__ = ("ticks",)
+
+    def __init__(self, steps):
+        super().__init__(steps)
+        self.ticks = 0
+
+    def tick(self):
+        self.ticks += 1
+        super().tick()
+
+
+def test_divergent_search_drains_without_ticking():
+    # a search over a partial application is closed in O(1), not run
+    budget = _CountingBudget(10 ** 6)
+    with pytest.raises(Diverged):
+        apply(code(K.MU), code(K.K), budget)
+    assert budget.steps == 0 and budget.ticks <= 3
+    # a saturated application still runs: K 1 is 1 everywhere, tick by tick
+    budget = _CountingBudget(10 ** 4)
+    with pytest.raises(Diverged):
+        apply(code(K.MU), code(K.K, [1]), budget)
+    assert budget.steps == 0 and budget.ticks == 10 ** 4 + 1
 
 
 def test_unpair_matches_reference():

@@ -1,6 +1,8 @@
+import hashlib
 import random
 
 import pytest
+from test_acceptance import _gen_set_code
 
 from covtt import kleene as K
 from covtt import realizability as R
@@ -274,6 +276,105 @@ def test_table_memo_charges_exact_steps(monkeypatch):
             exact.budget.steps = steps
             assert exact._table_code(dict(items)) == r
             assert exact.budget.steps == 0
+
+
+def _persistence_replay(models):
+    """test_persistence_of_stages' queries on its first 50 codes, in its
+    order: one line per query with the verdict and the budget left after it.
+    Each code's Model is appended to models."""
+    rng = random.Random(60606)
+    lines = []
+    for _ in range(50):
+        m = _gen_set_code(rng, rng.randrange(0, 6))
+        model = Model(fuel=10 ** 6)
+        models.append(model)
+
+        def ask(query, *args):
+            r = query(*args)
+            lines.append(f"{query.__name__}{args} {r} {model.budget.steps}")
+            return r
+
+        first = next((k for k in range(7)
+                      if ask(model.set_at, m, k).kind == "yes"), None)
+        if first is None:
+            continue
+        for k in (first + 1, first + 2, 8):
+            ask(model.set_at, m, k)
+        for i in range(65):
+            ask(model.mem_at, i, m, first)
+            ask(model.mem_at, i, m, 8)
+    return lines
+
+
+# the replay's hash when every application and every search runs tick by tick:
+# work skipped by a memo or a drain must leave each verdict and each budget as is
+PERSISTENCE_50_SHA256 = (
+    "d05287f2e4356d8efb6fb2c38a819854562f63c0b4c7e1cc77c597d25b8b99ec")
+
+
+@pytest.mark.parametrize("cap", [R._APPLY_CAP, 0], ids=["memo", "no-memo"])
+def test_persistence_replay_is_exact(monkeypatch, cap):
+    monkeypatch.setattr(R, "_APPLY_CAP", cap)
+    models = []
+    lines = _persistence_replay(models)
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == PERSISTENCE_50_SHA256
+    # speed is not bought with unbounded memory
+    assert len(R._TABLES) <= R._TABLES_CAP
+    assert max(len(m._apply_memo) for m in models) <= cap
+
+
+def _golden_verify(corpus_dir, monkeypatch):
+    """Each golden line's verdict and the budget its Model has left."""
+    models = []
+
+    class Recording(Model):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            models.append(self)
+
+    monkeypatch.setattr(R, "Model", Recording)
+    out = []
+    for _, j in parse_file((corpus_dir / "golden.judg").read_text()):
+        verdict = validate(j)
+        out.append((str(verdict), [m.budget.steps for m in models]))
+        models.clear()
+    return out
+
+
+def test_apply_memo_changes_no_verdict_or_budget(corpus_dir, monkeypatch):
+    memo_on = _golden_verify(corpus_dir, monkeypatch)
+    monkeypatch.setattr(R, "_APPLY_CAP", 0)
+    assert _golden_verify(corpus_dir, monkeypatch) == memo_on
+
+
+def test_apply_memo_charges_exact_steps(monkeypatch):
+    runs = []
+    real_apply_many = K.apply_many
+
+    def counting(*args, **kwargs):
+        runs.append(args)
+        return real_apply_many(*args, **kwargs)
+
+    monkeypatch.setattr(K, "apply_many", counting)
+    e, args = K.MULT_CODE, (3, 4)
+    first = Model()
+    r = first.apply(e, *args)
+    assert r == 12
+    steps = 10 ** 6 - first.budget.steps
+    for cap in (R._APPLY_CAP, 0):
+        monkeypatch.setattr(R, "_APPLY_CAP", cap)
+        model = Model()
+        assert model.apply(e, *args) == r
+        ran = len(runs)
+        # exactly enough fuel: paid to 0; one step short: drained to 0
+        model.budget.steps = steps
+        assert model.apply(e, *args) == r and model.budget.steps == 0
+        model.budget.steps = steps - 1
+        assert model.apply(e, *args) is None and model.budget.steps == 0
+        model.budget.steps = -3
+        assert model.apply(e, *args) is None and model.budget.steps == -3
+        assert len(runs) == ran + (0 if cap else 3)     # a hit runs nothing
 
 
 def test_members_cap_keeps_exact_enumerations(corpus_dir):
