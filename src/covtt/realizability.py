@@ -63,6 +63,7 @@ _APPLY_BITS = 256
 class Tri:
     kind: str                   # "yes" | "no" | "unknown"
     reason: str | None = None
+    staged: bool = False        # a no that rests on a stage cut
 
     def __bool__(self):
         raise TypeError("Tri is not a boolean; match on .kind")
@@ -72,14 +73,14 @@ class Tri:
 
 
 YES = Tri("yes")
+FUEL = Tri("unknown", "fuel")
+CYCLE = Tri("unknown", "cycle")
+SAMPLING = Tri("unknown", "sampling")
+STAGE = Tri("unknown", "stage")
 
 
 def no(reason: str) -> Tri:
     return Tri("no", reason)
-
-
-def unknown(reason: str) -> Tri:
-    return Tri("unknown", reason)
 
 
 def tri_all(parts) -> Tri:
@@ -99,7 +100,7 @@ def sampled(parts: list[Tri], exact: bool) -> Tri:
     comes last, so any earlier no or unknown is what gets reported.
     """
     if not exact:
-        parts.append(unknown("sampling"))
+        parts.append(SAMPLING)
     return tri_all(parts)
 
 
@@ -113,6 +114,21 @@ def decode_set(n: int):
     and for a base code other than N0, N1 and N."""
     dec = untagged(n)
     return None if dec is None or dec[0] == "base" and dec[1] > 2 else dec
+
+
+@lru_cache(maxsize=1 << 12)
+def _code_view(n: int, k: int) -> tuple:
+    """decode_set(n) read at stage k, for a code that is a set there: each
+    part is a source one stage down, and the family e of a sigma or pi code
+    is (e, k - 1), applied and then read one stage down."""
+    kind, *parts = decode_set(n)
+    if kind == "base":
+        return kind, parts[0], "{} is not below " + str(parts[0])
+    if kind == "id":
+        return kind, (parts[0], k - 1), parts[1], parts[2]
+    if kind == "cov":
+        return kind, *parts, k - 1
+    return kind, *[(p, k - 1) for p in parts]
 
 
 def rf_code(z: int, r: int) -> int:
@@ -130,6 +146,9 @@ def cov_code(a: int, v: int, s: int, i: int, c: int) -> int:
 N0_CODE = tagged("base", 0)
 N1_CODE = tagged("base", 1)
 N_CODE = tagged("base", 2)
+# the base pretypes' views: (kind, j, the reason a non-member is refused)
+_BASE_TYPES = {TN0: ("base", 0, "the empty type has no realizers"),
+               TN1: ("base", 1, "{} is not 0"), TN: ("base", 2, None)}
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +291,7 @@ class Model:
         for m in ms:
             em = self.apply(e, m)
             if em is None:
-                parts.append(unknown("fuel"))
+                parts.append(FUEL)
                 continue
             parts.append(self.set_at(em, k))
         return sampled(parts, exact)
@@ -287,7 +306,7 @@ class Model:
         if kind in ("rf", "tr"):
             return no("proof codes are not set codes")
         if k <= 0:
-            return no(f"{kind} codes require a positive stage")
+            return Tri("no", f"{kind} codes require a positive stage", True)
         if kind in ("sigma", "pi"):
             _, kc, e = dec
             return self._fam(e, kc, k - 1)
@@ -310,7 +329,7 @@ class Model:
         for x in xs:
             ix = self.apply(i, x)
             if ix is None:
-                parts.append(unknown("fuel"))
+                parts.append(FUEL)
                 continue
             ys, exact_y = self.members(ix, k)
             if not exact_y:
@@ -318,18 +337,32 @@ class Model:
             for y in ys:
                 cxy = self.apply(c, x, y)
                 if cxy is None:
-                    parts.append(unknown("fuel"))
+                    parts.append(FUEL)
                     continue
                 parts.append(self._fam(cxy, s, k))
         return sampled(parts, exact)
 
     # -- membership ----------------------------------------------------------
+    # A source is a set code at a stage, (n, k), or a pretype under an
+    # environment, (ty, env); one set of clauses reads both through _view.
+
+    def contains(self, src, x: int) -> Tri:
+        """Whether x realizes the source."""
+        if type(src[0]) is int:
+            return self.mem_at(x, *src)
+        return self._holds(src, x)
+
+    def elements(self, src) -> tuple[list[int], bool]:
+        """Realizers of the source; the flag reports exhaustiveness."""
+        if type(src[0]) is int:
+            return self.members(*src)
+        return self._enum(src)
 
     def mem_at(self, m: int, n: int, k: int) -> Tri:
         key = (m, n, k)
         if key in self._mem_memo:
             return self._mem_memo[key]
-        self._mem_memo[key] = unknown("cycle")    # provisional, cycles stay unknown
+        self._mem_memo[key] = CYCLE     # provisional, cycles stay unknown
         r = self._mem_at(m, n, k)
         self._mem_memo[key] = r
         return r
@@ -337,61 +370,12 @@ class Model:
     def _mem_at(self, m: int, n: int, k: int) -> Tri:
         gate = self.set_at(n, k)
         if gate.kind == "no":
-            return no(f"{n} is not a set code at stage {k}: {gate.reason}")
-        dec = decode_set(n)
-        kind = dec[0]
-        result: Tri
-        if kind == "base":                 # j = 0, 1, 2 for N0, N1, N
-            j = dec[1]
-            result = YES if j == 2 or m < j else no(f"{m} is not below {j}")
-        elif kind in ("sigma", "pi"):
-            _, kc, e = dec
-            if kind == "sigma":
-                m0, m1 = unpair(m)
-                em = self.apply(e, m0)
-                if em is None:
-                    result = unknown("fuel")
-                else:
-                    result = tri_all([self.mem_at(m0, kc, k - 1),
-                                      self.mem_at(m1, em, k - 1)])
-            else:
-                parts = []
-                ms, exact = self.members(kc, k - 1)
-                for i in ms:
-                    ei = self.apply(e, i)
-                    mi = self.apply(m, i)
-                    if ei is None or mi is None:
-                        parts.append(unknown("fuel"))
-                        continue
-                    parts.append(self.mem_at(mi, ei, k - 1))
-                result = sampled(parts, exact)
-        elif kind == "plus":
-            _, a, b = dec
-            tag, payload = unpair(m)
-            if tag == 0:
-                result = self.mem_at(payload, a, k - 1)
-            elif tag == 1:
-                result = self.mem_at(payload, b, k - 1)
-            else:
-                result = no(f"injection tag {tag} is neither 0 nor 1")
-        elif kind == "list":
-            result = tri_all(self.mem_at(y, dec[1], k - 1) for y in dec_list(m))
-        elif kind == "id":
-            _, a, b, c = dec
-            if m == b == c:
-                result = self.mem_at(b, a, k - 1)
-            else:
-                result = no(f"{m}, {b}, {c} are not all equal")
-        elif kind == "cov":
-            _, a, v, s, i, c = dec
-            result = self.in_cover(s, i, c, v, k - 1, a, m, COVER_DEPTH)
-        else:
-            result = no("proof codes are not set codes")
+            return Tri("no", f"{n} is not a set code at stage {k}: {gate.reason}",
+                       gate.staged)
+        result = self._holds((n, k), m)
         if gate.kind == "unknown" and result.kind == "yes":
             return gate
         return result
-
-    # -- member enumeration ---------------------------------------------------
 
     def members(self, n: int, k: int) -> tuple[list[int], bool]:
         """Members of a set code at a stage; the flag reports exhaustiveness."""
@@ -409,50 +393,157 @@ class Model:
     def _members(self, n: int, k: int) -> tuple[list[int], bool]:
         if self.set_at(n, k).kind == "no":
             return [], True
-        dec = decode_set(n)
-        kind = dec[0]
+        return self._enum((n, k))
+
+    def _view(self, src) -> tuple:
+        """The source as decode_set's (kind, *parts), every part a source and
+        a family part either (e, k) for a code or (body, env, y) for a
+        pretype.  A pretype's leaves are read here too: its Id endpoints and
+        its decoded code are evaluated in env."""
+        ty, env = src
+        if type(ty) is int:
+            return _code_view(ty, env)
+        cls = type(ty)
+        if cls is TSigma or cls is TPi:
+            (y,), body = open_with(ty.cod, (ty.hint,))
+            kind = "sigma" if cls is TSigma else "pi"
+            return kind, (ty.dom, env), (body, env, y)
+        if cls is TSum:
+            return "plus", (ty.left, env), (ty.right, env)
+        if cls is TList:
+            return "list", (ty.elem, env)
+        if cls in _BASE_TYPES:
+            return _BASE_TYPES[cls]
+        if cls is TId:
+            return ("Id", (ty.ty, env), self.eval_term(ty.lhs, env),
+                    self.eval_term(ty.rhs, env))
+        if cls is TDec:
+            return "T", self.eval_term(ty.code, env)
+        if cls is TU0:
+            return ("U0",)
+        raise ValueError(f"not a pretype: {to_src(ty)}")
+
+    def _at(self, fam, x: int):
+        """The source a family gives at x; None when the budget runs out."""
+        if len(fam) == 3:
+            body, env, y = fam
+            return body, {**env, y: x}
+        e, k = fam
+        ex = self.apply(e, x)
+        return None if ex is None else (ex, k)
+
+    def _holds(self, src, x: int) -> Tri:
+        """The membership clauses; a code source reaches them through mem_at."""
+        view = self._view(src)
+        kind = view[0]
+        if kind == "sigma":
+            x0, x1 = unpair(x)
+            fam = self._at(view[2], x0)
+            if fam is None:
+                return FUEL
+            return tri_all([self.contains(view[1], x0), self.contains(fam, x1)])
+        if kind == "pi":
+            parts = []
+            ys, exact = self.elements(view[1])
+            for y in ys:
+                fam = self._at(view[2], y)
+                xy = self.apply(x, y)
+                if fam is None or xy is None:
+                    parts.append(FUEL)
+                    continue
+                parts.append(self.contains(fam, xy))
+            return sampled(parts, exact)
+        if kind == "plus":
+            tag, payload = unpair(x)
+            if tag < 2:
+                return self.contains(view[1 + tag], payload)
+            return no(f"injection tag {tag} is neither 0 nor 1")
+        if kind == "list":
+            return tri_all(self.contains(view[1], y) for y in dec_list(x))
+        if kind == "base":                 # j = 0, 1, 2 for N0, N1, N
+            _, j, refusal = view
+            return YES if j == 2 or x < j else no(refusal.format(x))
+        if kind == "id":
+            _, a, b, c = view
+            if x == b == c:
+                return self.contains(a, b)
+            return no(f"{x}, {b}, {c} are not all equal")
+        if kind == "cov":
+            _, a, v, s, i, c, k = view
+            return self.in_cover(s, i, c, v, k, a, x, COVER_DEPTH)
+        if kind == "Id":
+            _, base, va, vb = view
+            if va is None or vb is None:
+                return FUEL
+            if x != va:
+                return no(f"{x} is not the left endpoint value {va}")
+            if va != vb:
+                return no(f"endpoint values {va} and {vb} differ")
+            return self.contains(base, va)
+        # U0 and T(c) are read at the model's stage; a no that rests on a
+        # stage cut says nothing about the universe, the union of all stages
+        if kind == "U0":
+            r = self.set_at(x, self.stage)
+        elif view[1] is None:               # T(c) whose c ran out of fuel
+            return FUEL
+        else:
+            r = self.mem_at(x, view[1], self.stage)
+        return STAGE if r.staged else r
+
+    def _enum(self, src) -> tuple[list[int], bool]:
+        """The enumeration clauses; a code source reaches them through members."""
+        view = self._view(src)
+        kind = view[0]
+        if kind == "sigma":
+            out = []
+            xs, exact = self.elements(view[1])
+            for x0 in xs:
+                fam = self._at(view[2], x0)
+                if fam is None:
+                    exact = False
+                    continue
+                x1s, ex1 = self.elements(fam)
+                exact &= ex1
+                out.extend(pair(x0, x1) for x1 in x1s)
+            return out, exact
+        if kind == "pi":
+            return self.scan(lambda x: self.contains(src, x)), False
+        if kind == "plus":
+            la, ea = self.elements(view[1])
+            lb, eb = self.elements(view[2])
+            return ([pair(0, x) for x in la] + [pair(1, x) for x in lb],
+                    ea and eb)
+        if kind == "list":
+            return self.lists_over(*self.elements(view[1]))
         if kind == "base":
-            j = dec[1]
+            j = view[1]
             if j < 2:
                 return list(range(j)), True
             return self.nat_candidates(), False
-        if kind == "sigma":
-            _, kc, e = dec
-            out, exact = [], True
-            ms, exm = self.members(kc, k - 1)
-            exact &= exm
-            for m0 in ms:
-                em = self.apply(e, m0)
-                if em is None:
-                    exact = False
-                    continue
-                m1s, ex1 = self.members(em, k - 1)
-                exact &= ex1
-                out.extend(pair(m0, m1) for m1 in m1s)
-            return out, exact
-        if kind == "pi":
-            return self.scan(lambda x: self.mem_at(x, n, k)), False
-        if kind == "plus":
-            _, a, b = dec
-            la, ea = self.members(a, k - 1)
-            lb, eb = self.members(b, k - 1)
-            return ([pair(0, m) for m in la] + [pair(1, m) for m in lb],
-                    ea and eb)
-        if kind == "list":
-            return self.lists_over(*self.members(dec[1], k - 1))
-        if kind == "id":
-            _, a, b, c = dec
+        if kind in ("id", "Id"):
+            _, a, b, c = view
+            if b is None or c is None:
+                return [], False
             if b != c:
                 return [], True
-            t = self.mem_at(b, a, k - 1)
+            t = self.contains(a, b)
             if t.kind == "yes":
                 return [b], True
             return [], t.kind == "no"
         if kind == "cov":
-            _, a, v, s, i, c = dec
-            cover, exact = self.cover_v(s, i, c, v, k - 1)
+            _, a, v, s, i, c, k = view
+            cover, exact = self.cover_v(s, i, c, v, k)
             return sorted(cover.get(a, ())), exact
-        return [], True
+        if kind == "U0":
+            return self.scan(lambda x: self.set_at(x, self.stage)), False
+        if view[1] is None:
+            return [], False
+        got = self.members(view[1], self.stage)
+        # members only answers ([], True) after set_at has, so the memo holds
+        # whether that came from a stage cut
+        if got == ([], True) and self._set_memo[(view[1], self.stage)].staged:
+            return [], False
+        return got
 
     def scan(self, test) -> list[int]:
         """Natural candidates that test says yes to, stopping at SCAN_CAP."""
@@ -580,7 +671,7 @@ class Model:
                  z: int, q: int, depth: int) -> Tri:
         """Demand-driven check that pair(z, q) lies in the cover fixpoint."""
         if depth <= 0:
-            return unknown("fuel")
+            return FUEL
         dec = decode_set(q)
         if dec is None or dec[0] not in ("rf", "tr"):
             return no(f"{q} is not a cover proof code")
@@ -590,156 +681,28 @@ class Model:
             _, _, r = dec
             vz = self.apply(v, z)
             if vz is None:
-                return unknown("fuel")
+                return FUEL
             return tri_all([self.mem_at(z, s, k), self.mem_at(r, vz, k)])
         _, _, j, r = dec
         iz = self.apply(i, z)
         if iz is None:
-            return unknown("fuel")
+            return FUEL
         parts = [self.mem_at(z, s, k), self.mem_at(j, iz, k)]
         us, exact = self.members(s, k)
         for u in us:
             cu = self.apply(c, z, j, u)
             if cu is None:
-                parts.append(unknown("fuel"))
+                parts.append(FUEL)
                 continue
             ts, ext = self.members(cu, k)
             exact &= ext
             for t in ts:
                 ru = self.apply(r, u, t)
                 if ru is None:
-                    parts.append(unknown("fuel"))
+                    parts.append(FUEL)
                     continue
                 parts.append(self.in_cover(s, i, c, v, k, u, ru, depth - 1))
         return sampled(parts, exact)
-
-
-# ---------------------------------------------------------------------------
-# Type interpretation
-# ---------------------------------------------------------------------------
-
-class ClassExpr:
-    """Predicate-on-naturals view of a pretype under an environment."""
-
-    def __init__(self, model: Model, ty: PreTerm, env: dict[str, int]):
-        self.model = model
-        self.ty = ty
-        self.env = dict(env)
-
-    def __repr__(self):
-        return f"ClassExpr({to_src(self.ty)})"
-
-    def _sub(self, ty: PreTerm, extra: dict[str, int] | None = None) -> "ClassExpr":
-        env = self.env if extra is None else {**self.env, **extra}
-        return ClassExpr(self.model, ty, env)
-
-    def contains(self, x: int) -> Tri:
-        m = self.model
-        ty = self.ty
-        match ty:
-            case TN0():
-                return no("the empty type has no realizers")
-            case TN1():
-                return YES if x == 0 else no(f"{x} is not 0")
-            case TN():
-                return YES
-            case TSigma(dom, cod):
-                x0, x1 = unpair(x)
-                first = self._sub(dom).contains(x0)
-                if first.kind == "no":
-                    return first
-                (y,), opened = open_with(cod, (ty.hint,))
-                rest = self._sub(opened, {y: x0}).contains(x1)
-                return tri_all([first, rest])
-            case TPi(dom, cod):
-                domc = self._sub(dom)
-                ys, exact = domc.enumerate()
-                (yn,), opened = open_with(cod, (ty.hint,))
-                parts = []
-                for y in ys:
-                    xy = m.apply(x, y)
-                    if xy is None:
-                        parts.append(unknown("fuel"))
-                        continue
-                    parts.append(self._sub(opened, {yn: y}).contains(xy))
-                return sampled(parts, exact)
-            case TSum(l, r):
-                tag, payload = unpair(x)
-                if tag == 0:
-                    return self._sub(l).contains(payload)
-                if tag == 1:
-                    return self._sub(r).contains(payload)
-                return no(f"injection tag {tag} is neither 0 nor 1")
-            case TList(el):
-                elc = self._sub(el)
-                return tri_all(elc.contains(y) for y in dec_list(x))
-            case TId(base, lt, rt):
-                va = self.model.eval_term(lt, self.env)
-                vb = self.model.eval_term(rt, self.env)
-                if va is None or vb is None:
-                    return unknown("fuel")
-                if x != va:
-                    return no(f"{x} is not the left endpoint value {va}")
-                if va != vb:
-                    return no(f"endpoint values {va} and {vb} differ")
-                return self._sub(base).contains(va)
-            case TU0():
-                return m.set_at(x, m.stage)
-            case TDec(code):
-                vc = self.model.eval_term(code, self.env)
-                if vc is None:
-                    return unknown("fuel")
-                return m.mem_at(x, vc, m.stage)
-        raise ValueError(f"not a pretype: {to_src(ty)}")
-
-    def enumerate(self) -> tuple[list[int], bool]:
-        m = self.model
-        ty = self.ty
-        match ty:
-            case TN0():
-                return [], True
-            case TN1():
-                return [0], True
-            case TN():
-                return m.nat_candidates(), False
-            case TSigma(dom, cod):
-                out, exact = [], True
-                xs, ex0 = self._sub(dom).enumerate()
-                exact &= ex0
-                (y,), opened = open_with(cod, (ty.hint,))
-                for x0 in xs:
-                    x1s, ex1 = self._sub(opened, {y: x0}).enumerate()
-                    exact &= ex1
-                    out.extend(pair(x0, x1) for x1 in x1s)
-                return out, exact
-            case TPi():
-                return m.scan(self.contains), False
-            case TSum(l, r):
-                ls, el = self._sub(l).enumerate()
-                rs, er = self._sub(r).enumerate()
-                return ([pair(0, x) for x in ls] + [pair(1, x) for x in rs],
-                        el and er)
-            case TList(el):
-                return m.lists_over(*self._sub(el).enumerate())
-            case TId():
-                va = m.eval_term(ty.lhs, self.env)
-                vb = m.eval_term(ty.rhs, self.env)
-                if va is None or vb is None:
-                    return [], False
-                if va != vb:
-                    return [], True
-                t = self._sub(ty.ty).contains(va)
-                if t.kind == "yes":
-                    return [va], True
-                return [], t.kind == "no"
-            case TU0():
-                return m.scan(lambda x: m.set_at(x, m.stage)), False
-            case TDec(code):
-                vc = m.eval_term(code, self.env)
-                if vc is None:
-                    return [], False
-                return m.members(vc, m.stage)
-        raise ValueError(f"not a pretype: {to_src(ty)}")
 
 
 # ---------------------------------------------------------------------------
@@ -761,7 +724,7 @@ def _sample_envs(model: Model, ctx: Context) -> tuple[list[dict[str, int]], bool
     for name, ty in ctx.entries:
         new_envs = []
         for env in envs:
-            vals, ex = ClassExpr(model, ty, env).enumerate()
+            vals, ex = model.elements((ty, env))
             if not vals:
                 if ex:
                     raise _Vacuous
@@ -780,36 +743,32 @@ def _sample_envs(model: Model, ctx: Context) -> tuple[list[dict[str, int]], bool
 
 
 def _validate_in_env(model: Model, j: Judgment, env: dict[str, int]) -> Tri:
-    if isinstance(j, TypeWF):
-        # every interpreted pretype is a class of naturals by construction
-        return YES
     if isinstance(j, TypeEq):
-        ca = ClassExpr(model, j.lhs, env)
-        cb = ClassExpr(model, j.rhs, env)
-        xs_a, ex_a = ca.enumerate()
-        xs_b, ex_b = cb.enumerate()
+        a, b = (j.lhs, env), (j.rhs, env)
+        xs_a, ex_a = model.elements(a)
+        xs_b, ex_b = model.elements(b)
         probes = set(xs_a) | set(xs_b) | set(range(min(model.bound, 16)))
         parts = []
         for x in sorted(probes):
-            ta, tb = ca.contains(x), cb.contains(x)
+            ta, tb = model.contains(a, x), model.contains(b, x)
             if "no" in (ta.kind, tb.kind) and "yes" in (ta.kind, tb.kind):
                 return no(f"the classes differ at {x}")
             if "unknown" in (ta.kind, tb.kind):
-                parts.append(unknown(ta.reason or tb.reason))
+                parts.append(ta if ta.kind == "unknown" else tb)
         return sampled(parts, ex_a and ex_b)
     if isinstance(j, TermOf):
         v = model.eval_term(j.term, env)
         if v is None:
-            return unknown("fuel")
-        return ClassExpr(model, j.ty, env).contains(v)
+            return FUEL
+        return model.contains((j.ty, env), v)
     if isinstance(j, TermEq):
         va = model.eval_term(j.lhs, env)
         vb = model.eval_term(j.rhs, env)
         if va is None or vb is None:
-            return unknown("fuel")
+            return FUEL
         if va != vb:
             return no(f"the sides evaluate to {va} and {vb}")
-        return ClassExpr(model, j.ty, env).contains(va)
+        return model.contains((j.ty, env), va)
     raise TypeError(f"not a judgment: {j!r}")
 
 
@@ -825,15 +784,15 @@ def validate_judgment(j: Judgment, stage: int = DEFAULT_STAGE,
     except _Vacuous:
         return YES
     except Diverged:
-        return unknown("fuel")
+        return FUEL
     if not envs:
-        return unknown("sampling")
+        return SAMPLING
     parts = []
     for env in envs:
         try:
             parts.append(_validate_in_env(model, j, env))
         except Diverged:
-            parts.append(unknown("fuel"))
+            parts.append(FUEL)
     return sampled(parts, exact)
 
 
@@ -862,7 +821,7 @@ def cover_fixpoint(s: int, i: int, c: int, v: int, k: int,
 
 def check_realizer(r: int, ty: PreTerm, k: int = DEFAULT_STAGE,
                    fuel: int = DEFAULT_FUEL, bound: int = DEFAULT_BOUND) -> Tri:
-    return ClassExpr(Model(stage=k, fuel=fuel, bound=bound), ty, {}).contains(r)
+    return Model(stage=k, fuel=fuel, bound=bound).contains((ty, {}), r)
 
 
 def realize(t: PreTerm, fuel: int = DEFAULT_FUEL) -> int | KTerm:
@@ -882,7 +841,7 @@ def ct_validate(fn: PreTerm, xmax: int = 20, fuel: int = DEFAULT_FUEL) -> Tri:
         e = eval_kterm(kt, {}, fuel)
         ok = K.ct_check(e, xmax=xmax, fuel=fuel)
     except Diverged:
-        return unknown("fuel")
+        return FUEL
     return YES if ok else no("a pointwise check failed")
 
 

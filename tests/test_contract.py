@@ -39,6 +39,9 @@ def _cases() -> dict[str, list[str]]:
         "check_types": ["check", str(DATA / "types.judg")],
         "verify_types_structured": ["verify", str(DATA / "types.judg"),
                                     "--format", "structured"],
+        "verify_golden_stage0_structured": [
+            "verify", str(CORPUS / "golden.judg"), "--stage", "0",
+            "--format", "structured"],
         "eval_syntax_error": ["eval", "succ(0"],
         "cover_cantor2": ["cover", str(CORPUS / "cantor2.cover")],
         "cover_cantor2_structured": ["cover", str(CORPUS / "cantor2.cover"),

@@ -6,6 +6,7 @@ from test_acceptance import _gen_set_code
 
 from covtt import kleene as K
 from covtt import realizability as R
+from covtt.kernel import check_judgment
 from covtt.kleene import (
     Diverged, KNum, KVar, apply, apply_many, code, eval_kterm, kop, pair,
 )
@@ -15,7 +16,7 @@ from covtt.realizability import (
     realize, rf_code, set_at_stage, tr_code, validate, validate_judgment,
 )
 from covtt.syntax import (
-    parse_file, parse_judgment, parse_term, parse_type, substitute,
+    SyntaxError_, parse_file, parse_judgment, parse_term, parse_type, substitute,
 )
 
 
@@ -324,8 +325,10 @@ def test_persistence_replay_is_exact(monkeypatch, cap):
     assert max(len(m._apply_memo) for m in models) <= cap
 
 
-def _golden_verify(corpus_dir, monkeypatch):
-    """Each golden line's verdict and the budget its Model has left."""
+def _verify_lines(monkeypatch, paths, **flags):
+    """Each judgment's verdict under the flags, one line per judgment with
+    the budget left in each Model it made; files that do not parse are
+    skipped."""
     models = []
 
     class Recording(Model):
@@ -334,18 +337,25 @@ def _golden_verify(corpus_dir, monkeypatch):
             models.append(self)
 
     monkeypatch.setattr(R, "Model", Recording)
-    out = []
-    for _, j in parse_file((corpus_dir / "golden.judg").read_text()):
-        verdict = validate(j)
-        out.append((str(verdict), [m.budget.steps for m in models]))
-        models.clear()
-    return out
+    lines = []
+    for path in paths:
+        try:
+            judgments = parse_file(path.read_text(encoding="utf-8"))
+        except SyntaxError_:
+            continue
+        for line, j in judgments:
+            verdict = validate(j, **flags)
+            lines.append(f"{path.parent.name}/{path.name}:{line} {verdict} "
+                         f"{[m.budget.steps for m in models]}")
+            models.clear()
+    return lines
 
 
 def test_apply_memo_changes_no_verdict_or_budget(corpus_dir, monkeypatch):
-    memo_on = _golden_verify(corpus_dir, monkeypatch)
+    golden = [corpus_dir / "golden.judg"]
+    memo_on = _verify_lines(monkeypatch, golden)
     monkeypatch.setattr(R, "_APPLY_CAP", 0)
-    assert _golden_verify(corpus_dir, monkeypatch) == memo_on
+    assert _verify_lines(monkeypatch, golden) == memo_on
 
 
 def test_apply_memo_charges_exact_steps(monkeypatch):
@@ -375,6 +385,36 @@ def test_apply_memo_charges_exact_steps(monkeypatch):
         model.budget.steps = -3
         assert model.apply(e, *args) is None and model.budget.steps == -3
         assert len(runs) == ran + (0 if cap else 3)     # a hit runs nothing
+
+
+# (stage, bound, fuel) -> the hash of every verdict, reason and budget left
+# at non-default flags; the stages are high enough that no stage cut reaches
+# a judgment verdict
+VERIFY_SHA256 = {
+    (3, 0, 200): (
+        "2f012993fa618ec8d0cc3f9e38bbe802f2a28ea4b7930d375c4c536bee5cc3d8"),
+    (3, 2, 200): (
+        "a3f3dc5fb467c361af232af860157821b23d6f5daac5ee52f94d7d1c142d2d6d"),
+    (4, 1, 200): (
+        "f8906dd6eb25857d972556656e623d82966fa04710abc8eb49c603f42a5562cd"),
+    (8, 3, 200): (
+        "9018a773b37d47ae2b3ce5b5ec45f9eac3db0391d98d5c3e4781cdf224e43cbf"),
+    (3, 1, 2000): (
+        "2e41db7118fda6e00dcd1482f3a5fadb2ca787f4a44a32b924ff06dabb89304d"),
+    (8, 2, 20000): (
+        "61982d3f116bbbc20268f3072c7c6554a853d6b001568eba2c3afce8cccc3b95"),
+}
+
+
+@pytest.mark.parametrize("flags", sorted(VERIFY_SHA256), ids=str)
+def test_verify_replay_is_exact(corpus_dir, monkeypatch, flags):
+    stage, bound, fuel = flags
+    contract = corpus_dir.parent / "tests" / "data" / "contract"
+    paths = sorted([*corpus_dir.glob("*.judg"), *contract.glob("*.judg")])
+    lines = _verify_lines(monkeypatch, paths, stage=stage, bound=bound, fuel=fuel)
+    assert len(lines) == 136
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == VERIFY_SHA256[flags]
 
 
 def test_members_cap_keeps_exact_enumerations(corpus_dir):
@@ -437,6 +477,65 @@ def test_check_realizer_clause_examples():
                           ).kind == "yes"
     assert check_realizer(pair(3, 4), parse_type("Sigma x : N . Id(N, x, x)")
                           ).kind == "no"
+
+
+# closed pretypes over every former, each beside the code it decodes from;
+# families range over finite domains, since a family code over N is only a
+# set up to sampling, which leaves its members unknown where the pretype's
+# are yes
+_TARSKI = [
+    ("N0", "n0hat"), ("N1", "n1hat"), ("N", "nhat"),
+    ("Sigma x : Sum(N1, N1) . Id(Sum(N1, N1), x, x)",
+     "sigmahat(plushat(n1hat, n1hat), lam x . idhat(plushat(n1hat, n1hat), x, x))"),
+    ("Sigma x : N1 . List(N0)", "sigmahat(n1hat, lam x . listhat(n0hat))"),
+    ("Pi x : N1 . N", "pihat(n1hat, lam x . nhat)"),
+    ("Pi x : Sum(N1, N1) . Id(Sum(N1, N1), x, x)",
+     "pihat(plushat(n1hat, n1hat), lam x . idhat(plushat(n1hat, n1hat), x, x))"),
+    ("Sum(N0, N1)", "plushat(n0hat, n1hat)"),
+    ("List(N1)", "listhat(n1hat)"),
+    ("List(Sum(N1, N))", "listhat(plushat(n1hat, nhat))"),
+    ("Id(N, 1, 1)", "idhat(nhat, 1, 1)"),
+    ("Id(N, 1, 2)", "idhat(nhat, 1, 2)"),
+    ("Id(N1, 1, 1)", "idhat(n1hat, 1, 1)"),
+]
+
+
+@pytest.mark.parametrize("ty_src, code_src", _TARSKI, ids=[t for t, _ in _TARSKI])
+def test_pretype_and_its_code_agree(ty_src, code_src):
+    # T(a) is the set the code a stands for: both sources go through the same
+    # clauses and must agree on every verdict (reason texts may differ)
+    srcs = [(parse_type(ty_src), {}), (parse_type(f"T({code_src})"), {})]
+    xs = [*range(64), *(pair(a, b) for a in range(5) for b in range(5)),
+          *(K.enc_list(xs) for xs in ([0], [1], [0, 0], [pair(1, 3)], [2, 0]))]
+    for x in xs:
+        kinds = [Model(fuel=10 ** 4).contains(src, x).kind for src in srcs]
+        assert kinds[0] == kinds[1], (x, kinds)
+    assert Model().elements(srcs[0]) == Model().elements(srcs[1])
+
+
+def test_type_equality_reports_the_unknown_side():
+    # one side refuses every candidate, the other is only sampled: the
+    # verdict is the sampled side's, whichever side it is on
+    for src in ("typeeq [] |- N0 == N -> N", "typeeq [] |- N -> N == N0"):
+        assert str(validate(parse_judgment(src))) == "unknown(sampling)"
+
+
+def test_no_accepted_golden_line_is_refuted_at_any_stage(corpus_dir):
+    # the universe is the union of all stages: a code that is not yet a set
+    # at --stage makes a judgment unknown(stage), never no
+    golden = parse_file((corpus_dir / "golden.judg").read_text())
+    assert all(check_judgment(j).accepted for _, j in golden)
+    flags = [(stage, bound) for stage in range(9) for bound in (0, 8)]
+    flags += [(0, R.DEFAULT_BOUND), (1, R.DEFAULT_BOUND)]
+    for stage, bound in flags:
+        refuted = [line for line, j in golden
+                   if validate(j, stage=stage, bound=bound).kind == "no"]
+        assert refuted == [], (stage, bound)
+    at0 = {line: str(validate(j, stage=0)) for line, j in golden}
+    assert list(at0.values()).count("unknown(stage)") == 13
+    # m : T(cov(...)) has no members at stage 0, but some at stage 2: the
+    # context is not vacuous
+    assert at0[72] == at0[75] == "unknown(sampling)"
 
 
 def test_validate_judgments():
