@@ -267,6 +267,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None, out=None) -> int:
     out = out or sys.stdout
+    if hasattr(sys, "set_int_max_str_digits"):  # numerals outgrow 4300 digits
+        sys.set_int_max_str_digits(0)
     args = build_parser().parse_args(argv)
     args.structured = args.format == "structured"
     try:

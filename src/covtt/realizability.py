@@ -272,15 +272,20 @@ class Model:
         return list(range(self.bound)) + [s for s in SAMPLE_POINTS
                                           if s >= self.bound]
 
+    def _memo(self, memo: dict, compute, key: tuple, pending=None):
+        """compute(self, *key), run once per key; no answer is None.  A query
+        that can reach its own key stores pending first, for that inner call."""
+        r = memo.get(key)
+        if r is None:
+            if pending is not None:
+                memo[key] = pending
+            memo[key] = r = compute(self, *key)
+        return r
+
     # -- Set_k --------------------------------------------------------------
 
     def set_at(self, n: int, k: int) -> Tri:
-        key = (n, k)
-        if key in self._set_memo:
-            return self._set_memo[key]
-        r = self._set_at(n, k)
-        self._set_memo[key] = r
-        return r
+        return self._memo(self._set_memo, Model._set_at, (n, k))
 
     def _fam(self, e: int, kc: int, k: int) -> Tri:
         """Fam_k(e, kc): kc is a set and {e}(m) is a set for every member m."""
@@ -359,13 +364,7 @@ class Model:
         return self._enum(src)
 
     def mem_at(self, m: int, n: int, k: int) -> Tri:
-        key = (m, n, k)
-        if key in self._mem_memo:
-            return self._mem_memo[key]
-        self._mem_memo[key] = CYCLE     # provisional, cycles stay unknown
-        r = self._mem_at(m, n, k)
-        self._mem_memo[key] = r
-        return r
+        return self._memo(self._mem_memo, Model._mem_at, (m, n, k), CYCLE)
 
     def _mem_at(self, m: int, n: int, k: int) -> Tri:
         gate = self.set_at(n, k)
@@ -379,21 +378,14 @@ class Model:
 
     def members(self, n: int, k: int) -> tuple[list[int], bool]:
         """Members of a set code at a stage; the flag reports exhaustiveness."""
-        key = (n, k)
-        if key in self._members_memo:
-            return self._members_memo[key]
-        self._members_memo[key] = ([], False)     # provisional for cycles
-        r = self._members(n, k)
-        cap = max(self.members_cap, EXACT_CAP) if r[1] else self.members_cap
-        if len(r[0]) > cap:
-            r = (r[0][:cap], False)
-        self._members_memo[key] = r
-        return r
+        return self._memo(self._members_memo, Model._members, (n, k), ([], False))
 
     def _members(self, n: int, k: int) -> tuple[list[int], bool]:
         if self.set_at(n, k).kind == "no":
             return [], True
-        return self._enum((n, k))
+        xs, exact = self._enum((n, k))
+        cap = max(self.members_cap, EXACT_CAP) if exact else self.members_cap
+        return (xs, exact) if len(xs) <= cap else (xs[:cap], False)
 
     def _view(self, src) -> tuple:
         """The source as decode_set's (kind, *parts), every part a source and
@@ -431,6 +423,11 @@ class Model:
         e, k = fam
         ex = self.apply(e, x)
         return None if ex is None else (ex, k)
+
+    def _elements_at(self, fam, x: int) -> tuple[list[int], bool]:
+        """Elements of the source fam gives at x; ([], False) if it ran out."""
+        src = self._at(fam, x)
+        return ([], False) if src is None else self.elements(src)
 
     def _holds(self, src, x: int) -> Tri:
         """The membership clauses; a code source reaches them through mem_at."""
@@ -498,15 +495,11 @@ class Model:
             out = []
             xs, exact = self.elements(view[1])
             for x0 in xs:
-                fam = self._at(view[2], x0)
-                if fam is None:
-                    exact = False
-                    continue
-                x1s, ex1 = self.elements(fam)
+                x1s, ex1 = self._elements_at(view[2], x0)
                 exact &= ex1
                 out.extend(pair(x0, x1) for x1 in x1s)
             return out, exact
-        if kind == "pi":
+        if kind in ("pi", "U0"):
             return self.scan(lambda x: self.contains(src, x)), False
         if kind == "plus":
             la, ea = self.elements(view[1])
@@ -534,8 +527,6 @@ class Model:
             _, a, v, s, i, c, k = view
             cover, exact = self.cover_v(s, i, c, v, k)
             return sorted(cover.get(a, ())), exact
-        if kind == "U0":
-            return self.scan(lambda x: self.set_at(x, self.stage)), False
         if view[1] is None:
             return [], False
         got = self.members(view[1], self.stage)
@@ -584,32 +575,22 @@ class Model:
         table code per (z, index) whenever the rule's premise is satisfiable,
         which is enough to make the key set exact on finite carriers.
         """
-        key = (s, i, c, v, k)
-        if key in self._cover_memo:
-            return self._cover_memo[key]
+        return self._memo(self._cover_memo, Model._cover_v, (s, i, c, v, k))
+
+    def _cover_v(self, s, i, c, v, k) -> tuple[dict[int, set[int]], bool]:
         zs, exact = self.members(s, k)
         cover: dict[int, set[int]] = {z: set() for z in zs}
         # rf rule
         for z in zs:
-            vz = self.apply(v, z)
-            if vz is None:
-                exact = False
-                continue
-            rs, exr = self.members(vz, k)
+            rs, exr = self._elements_at((v, k), z)
             exact &= exr
             for r in rs:
                 cover[z].add(rf_code(z, r))
         # index and premise data
         idx: dict[int, list[int]] = {}
         for z in zs:
-            iz = self.apply(i, z)
-            if iz is None:
-                exact = False
-                idx[z] = []
-                continue
-            js, exj = self.members(iz, k)
+            idx[z], exj = self._elements_at((i, k), z)
             exact &= exj
-            idx[z] = js
         needs: dict[tuple[int, int], list[int] | None] = {}
         for z in zs:
             for j in idx[z]:
@@ -640,9 +621,7 @@ class Model:
                 witnessed.add((z, j))
                 cover[z].add(tr_code(z, j, self._table_code(table)))
                 changed = True
-        result = (cover, exact)
-        self._cover_memo[key] = result
-        return result
+        return cover, exact
 
     def _table_code(self, table: dict[int, int]) -> int:
         """A code r with {r}(u, t) = table[u] (0 outside the table).
@@ -709,16 +688,10 @@ class Model:
 # Judgment validity
 # ---------------------------------------------------------------------------
 
-class _Vacuous(Exception):
-    pass
-
-
-def _sample_envs(model: Model, ctx: Context) -> tuple[list[dict[str, int]], bool]:
-    """Environments of realizers for the context, plus an exactness flag.
-
-    Raises _Vacuous when some hypothesis has exactly no realizers, in which
-    case every judgment under the context holds vacuously.
-    """
+def _sample_envs(model: Model, ctx: Context) -> tuple[list[dict[str, int]], bool] | None:
+    """Environments of realizers for the context, plus an exactness flag;
+    None when some hypothesis has exactly no realizers, so that every
+    judgment under the context holds vacuously."""
     envs: list[dict[str, int]] = [{}]
     exact = True
     for name, ty in ctx.entries:
@@ -727,7 +700,7 @@ def _sample_envs(model: Model, ctx: Context) -> tuple[list[dict[str, int]], bool
             vals, ex = model.elements((ty, env))
             if not vals:
                 if ex:
-                    raise _Vacuous
+                    return None
                 exact = False
                 continue
             if len(vals) > ENV_SAMPLES:
@@ -780,11 +753,12 @@ def validate_judgment(j: Judgment, stage: int = DEFAULT_STAGE,
         # environment, so formation validity needs no sampling
         return YES
     try:
-        envs, exact = _sample_envs(model, j.ctx)
-    except _Vacuous:
-        return YES
+        got = _sample_envs(model, j.ctx)
     except Diverged:
         return FUEL
+    if got is None:
+        return YES
+    envs, exact = got
     if not envs:
         return SAMPLING
     parts = []

@@ -621,9 +621,9 @@ def _lex(src: str) -> list[_Tok]:
             i += 1
             col += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             j = i
-            while j < n and src[j].isdigit():
+            while j < n and src[j].isdecimal():
                 j += 1
             toks.append(_Tok("num", src[i:j], line, col))
             col += j - i

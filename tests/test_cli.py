@@ -80,6 +80,27 @@ def test_verify(corpus_dir, tmp_path):
     assert rc == 1 and "no" in out
 
 
+# a list code past Python's default 4300-digit int-to-str limit
+HUGE = "natrec(13; 0; k r . cons(r, r))"
+
+
+def test_numerals_past_the_int_str_limit_print(tmp_path):
+    from covtt import realizability
+    from covtt.syntax import parse
+    rc, text = run(["realize", HUGE])
+    rc2, structured = run(["realize", HUGE, "--format", "structured"])
+    numeral = realizability.realize(parse(HUGE))
+    assert len(str(numeral)) > 4300         # str() works: main lifted the limit
+    assert (rc, text) == (0, f"{numeral}\n")
+    assert rc2 == 0 and json.loads(structured)["numeral"] == numeral
+    f = tmp_path / "huge.judg"
+    f.write_text(f"termeq [] |- {HUGE} == 0 : List(N)\n")
+    rc, out = run(["verify", str(f), "--format", "structured"])
+    record = json.loads(out)
+    assert rc == 1 and record["verdict"] == "no"
+    assert record["reason"] == f"the sides evaluate to {numeral} and 0"
+
+
 def test_cover_and_wp(corpus_dir):
     rc, out = run(["cover", str(corpus_dir / "cantor2.cover")])
     assert rc == 0

@@ -43,6 +43,8 @@ def _cases() -> dict[str, list[str]]:
             "verify", str(CORPUS / "golden.judg"), "--stage", "0",
             "--format", "structured"],
         "eval_syntax_error": ["eval", "succ(0"],
+        "eval_superscript_digit": ["eval", "\u00b2"],
+        "eval_judgment": ["eval", "term [] |- 0 : N"],
         "cover_cantor2": ["cover", str(CORPUS / "cantor2.cover")],
         "cover_cantor2_structured": ["cover", str(CORPUS / "cantor2.cover"),
                                      "--format", "structured"],
@@ -51,6 +53,7 @@ def _cases() -> dict[str, list[str]]:
         "wp_wp3": ["wp", str(CORPUS / "wp3.rel")],
         "wp_wp3_structured": ["wp", str(CORPUS / "wp3.rel"),
                               "--format", "structured"],
+        "wp_bad_relation": ["wp", str(DATA / "bad.rel")],
         "eval_ind": ["eval", "ind(rf(a, r); x w . Ap(Ap(q1, x), w); x h k f . 0)"],
         "eval_beta": ["eval", "Ap(lam x . succ(x), 1)", "--format", "structured"],
         "eval_omega": ["eval", OMEGA, "--fuel", "500"],

@@ -11,8 +11,8 @@ from covtt.kleene import (
     Diverged, KNum, KVar, apply, apply_many, code, eval_kterm, kop, pair,
 )
 from covtt.realizability import (
-    Model, N0_CODE, N1_CODE, N_CODE, check_realizer, cov_code, cover_fixpoint,
-    ct_validate, decode_set, interpret_term, mem_at_stage,
+    CYCLE, Model, N0_CODE, N1_CODE, N_CODE, check_realizer, cov_code,
+    cover_fixpoint, ct_validate, decode_set, interpret_term, mem_at_stage,
     realize, rf_code, set_at_stage, tr_code, validate, validate_judgment,
 )
 from covtt.syntax import (
@@ -279,6 +279,29 @@ def test_table_memo_charges_exact_steps(monkeypatch):
             assert exact.budget.steps == 0
 
 
+def test_a_query_cut_short_keeps_only_pending_answers(monkeypatch):
+    """mem_at and members can reach their own key, so they store a pending
+    answer before they run and keep it when a Diverged cuts the run short;
+    set_at and cover_v recurse one stage down and store nothing early."""
+    s, i, c, v = _gen_style_cover()
+    cover = cov_code(pair(0, 0), v, s, i, c)
+    sigma = K.tagged("sigma", cover, code(K.K, [N1_CODE]))
+    model = Model()
+
+    def cut(table):
+        raise Diverged
+
+    monkeypatch.setattr(model, "_table_code", cut)
+    # mem_at -> set_at(sigma) -> members(cover) -> cover_v -> _table_code
+    with pytest.raises(Diverged):
+        model.mem_at(0, sigma, 6)
+    assert model._mem_memo[(0, sigma, 6)] == CYCLE
+    assert model.mem_at(0, sigma, 6) == CYCLE       # what a later query sees
+    assert model._members_memo[(cover, 5)] == ([], False)
+    assert (sigma, 6) not in model._set_memo
+    assert model._cover_memo == {}
+
+
 def _persistence_replay(models):
     """test_persistence_of_stages' queries on its first 50 codes, in its
     order: one line per query with the verdict and the budget left after it.
@@ -447,15 +470,15 @@ def test_members_cap_never_reached_exactly_at_default_bound(corpus_dir,
                                                             monkeypatch):
     # so keeping exact enumerations whole changes nothing at the default
     over = []
-    real_members = Model._members
+    real_enum = Model._enum
 
-    def spy(self, n, k):
-        got = real_members(self, n, k)
-        if got[1] and len(got[0]) > self.members_cap:
-            over.append((n, k))
+    def spy(self, src):         # a code's enumeration before members cuts it
+        got = real_enum(self, src)
+        if type(src[0]) is int and got[1] and len(got[0]) > self.members_cap:
+            over.append(src)
         return got
 
-    monkeypatch.setattr(Model, "_members", spy)
+    monkeypatch.setattr(Model, "_enum", spy)
     for name in ("golden", "ct", "xi"):
         for _, j in parse_file((corpus_dir / f"{name}.judg").read_text()):
             validate(j)
