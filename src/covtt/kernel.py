@@ -117,46 +117,42 @@ def whnf(t: PreTerm, fuel: int = DEFAULT_FUEL) -> Whnf:
     return _whnf(t, Budget(fuel))
 
 
+def _unwind(t: PreTerm) -> tuple[list[PreTerm], PreTerm]:
+    """t's eliminator frames, outermost first, and the head under them."""
+    frames = []
+    while type(t) in _ELIM_SCRUT:
+        frames.append(t)
+        t = getattr(t, _ELIM_SCRUT[type(t)])
+    return frames, t
+
+
+def _rewind(frames: list[PreTerm], head: PreTerm) -> PreTerm:
+    for frame in reversed(frames):
+        head = dataclasses.replace(frame, **{_ELIM_SCRUT[type(frame)]: head})
+    return head
+
+
 def _whnf(t: PreTerm, budget: Budget) -> PreTerm:
-    spine: list[PreTerm] = []
-    cur = t
-    while True:
-        cls = type(cur)
-        if cls in _ELIM_SCRUT:
-            spine.append(cur)
-            cur = getattr(cur, _ELIM_SCRUT[cls])
-            continue
-        if not spine:
-            return cur
-        frame = spine[-1]
-        contracted = _contract(frame, cur)
+    if type(t) not in _ELIM_SCRUT:
+        return t
+    spine, head = _unwind(t)
+    while spine:
+        contracted = _contract(spine[-1], head)
         if contracted is None:
-            # stuck: rebuild the spine around the head
-            for frame in reversed(spine):
-                cur = dataclasses.replace(frame, **{_ELIM_SCRUT[type(frame)]: cur})
-            return cur
+            return _rewind(spine, head)
         budget.tick()
         spine.pop()
-        cur = contracted
+        frames, head = _unwind(contracted)
+        spine += frames
+    return head
 
 
 def whnf_step(t: PreTerm) -> PreTerm | None:
-    """One leftmost-outermost head step, or None when t's head is stuck."""
-    spine: list[PreTerm] = []
-    cur = t
-    while type(cur) in _ELIM_SCRUT:
-        spine.append(cur)
-        cur = getattr(cur, _ELIM_SCRUT[type(cur)])
-    while spine:
-        frame = spine.pop()
-        contracted = _contract(frame, cur)
-        if contracted is not None:
-            cur = contracted
-            for frame in reversed(spine):
-                cur = dataclasses.replace(frame, **{_ELIM_SCRUT[type(frame)]: cur})
-            return cur
-        cur = dataclasses.replace(frame, **{_ELIM_SCRUT[type(frame)]: cur})
-    return None
+    """One leftmost-outermost head step, or None when t's head is stuck.
+    Only the innermost frame can contract: outer scrutinees are eliminators."""
+    spine, head = _unwind(t)
+    contracted = _contract(spine.pop(), head) if spine else None
+    return None if contracted is None else _rewind(spine, contracted)
 
 
 # code former -> the type former T(code) decodes to, part for part

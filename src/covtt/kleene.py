@@ -201,11 +201,61 @@ PAPP = 17   # PAPP e a x   = {e}(a, x)   -- total code-level partial application
 IND = 18    # IND q1 q2 m  -- cover recursor, see docs/machine.md
 TRACE = 19  # TRACE e x    = the halting trace of {e}(x)
 
-ARITY = {
-    K: 2, I: 1, S: 3, SUCC: 1, PRED: 1, PAIR: 2, P0: 1, P1: 1, IFZ: 3,
-    EQ: 2, REC: 3, LREC: 3, SNOC: 2, LEN: 1, CPT: 2, MU: 1, AP: 2,
-    PAPP: 3, IND: 3, TRACE: 2,
+# Expressions fed to the iterative evaluator: either a value already, or an
+# application node ("app", fn_expr, arg_expr).
+_Expr = int | tuple
+
+
+def _app(f: _Expr, *xs: _Expr) -> _Expr:
+    for x in xs:
+        f = ("app", f, x)
+    return f
+
+
+def _lrec(d: int, e: int, l: int) -> _Expr:
+    if l == 0:
+        return d
+    front, last = unpair(l - 1)
+    return _app(e, front, last, _app(_LREC_CODE, d, e, front))
+
+
+def _ind(q1: int, q2: int, m: int) -> _Expr:
+    kind, *parts = untagged(m) or (None,)
+    if kind == "rf":
+        return _app(q1, *parts)
+    if kind == "tr":                            # parts are z, j, r
+        aux = _to_expr(c2_aux_term(KNum(q1), KNum(q2), KNum(parts[2])), {})
+        return _app(q2, *parts, aux)
+    return 0
+
+
+# tag -> (arity, rule).  A rule takes the full argument list and returns the
+# result, or an expression for the evaluator to run.  MU and TRACE read the
+# step budget, so the evaluator runs them itself.
+INSTRUCTIONS = {
+    K: (2, lambda a, x: a),
+    I: (1, lambda x: x),
+    S: (3, lambda f, g, x: _app(_app(f, x), _app(g, x))),
+    SUCC: (1, lambda n: n + 1),
+    PRED: (1, lambda n: n - 1 if n else 0),
+    PAIR: (2, pair),
+    P0: (1, unpair0),
+    P1: (1, unpair1),
+    IFZ: (3, lambda n, a, b: a if n == 0 else b),
+    EQ: (2, lambda a, b: 0 if a == b else 1),
+    REC: (3, lambda z, s, n: z if n == 0 else
+          _app(s, n - 1, _app(_REC_CODE, z, s, n - 1))),
+    LREC: (3, _lrec),
+    SNOC: (2, snoc),
+    LEN: (1, list_length),
+    CPT: (2, list_component),
+    MU: (1, None),
+    AP: (2, _app),
+    PAPP: (3, _app),
+    IND: (3, _ind),
+    TRACE: (2, None),
 }
+ARITY = {tag: arity for tag, (arity, _) in INSTRUCTIONS.items()}
 
 
 def code(tag: int, args: list[int] | None = None) -> int:
@@ -232,18 +282,6 @@ def decode(e: int) -> tuple[int, list[int]] | None:
     return None if dec is None else (dec[0], list(dec[1]))
 
 
-# Expressions fed to the iterative evaluator: either a value already, or an
-# application node ("app", fn_expr, arg_expr).
-_Expr = int | tuple
-
-
-def _app(f: _Expr, *xs: _Expr) -> _Expr:
-    for x in xs:
-        f = ("app", f, x)
-    return f
-
-
-_AP = ("ap",)
 _REC_CODE, _LREC_CODE = code(REC), code(LREC)
 
 
@@ -260,7 +298,7 @@ def _eval_expr(expr: _Expr, budget: Budget | int) -> int:
         budget = Budget(budget)
     control: list = [expr]
     values: list[int] = []
-    push, pop = control.append, control.pop
+    pop = control.pop
     while control:
         frame = pop()
         if type(frame) is int:
@@ -270,13 +308,10 @@ def _eval_expr(expr: _Expr, budget: Budget | int) -> int:
         if op == "app":
             _, f, x = frame
             if type(f) is not int or type(x) is not int:
-                push(_AP)
-                push(x)
-                push(f)
+                control += (("ap",), x, f)
                 continue
         elif op == "ap":
-            x = values.pop()
-            f = values.pop()
+            x, f = values.pop(), values.pop()
         elif op == "mu":
             r = values.pop()
             _, f, m = frame
@@ -284,8 +319,7 @@ def _eval_expr(expr: _Expr, budget: Budget | int) -> int:
                 values.append(m)
             else:
                 budget.tick()
-                push(("mu", f, m + 1))
-                push(_app(f, m + 1))
+                control += (("mu", f, m + 1), _app(f, m + 1))
             continue
         else:                                   # "tr"
             r = values.pop()
@@ -297,81 +331,23 @@ def _eval_expr(expr: _Expr, budget: Budget | int) -> int:
         if dec is None:
             raise Diverged(f"code {f} diverges by fiat")
         tag, args, payload = dec
-        if len(args) + 1 < ARITY[tag]:
+        arity, rule = INSTRUCTIONS[tag]
+        if len(args) + 1 < arity:
             # pair(tag, enc(args + [x])), without re-encoding args
             values.append(pair(tag, snoc(payload, x)))
-            continue
-        a = (*args, x)
-        if tag in (K, I):
-            values.append(a[0])
-        elif tag == S:
-            push(_app(_app(a[0], a[2]), _app(a[1], a[2])))
-        elif tag == SUCC:
-            values.append(a[0] + 1)
-        elif tag == PRED:
-            values.append(a[0] - 1 if a[0] else 0)
-        elif tag == PAIR:
-            values.append(pair(a[0], a[1]))
-        elif tag == P0:
-            values.append(unpair0(a[0]))
-        elif tag == P1:
-            values.append(unpair1(a[0]))
-        elif tag == IFZ:
-            values.append(a[1] if a[0] == 0 else a[2])
-        elif tag == EQ:
-            values.append(0 if a[0] == a[1] else 1)
-        elif tag == REC:
-            z, s, n = a
-            if n == 0:
-                values.append(z)
-            else:
-                rest = _app(_REC_CODE, z, s, n - 1)
-                push(_app(s, n - 1, rest))
-        elif tag == LREC:
-            d, e2, l = a
-            if l == 0:
-                values.append(d)
-            else:
-                front, last = unpair(l - 1)
-                rest = _app(_LREC_CODE, d, e2, front)
-                push(_app(e2, front, last, rest))
-        elif tag == SNOC:
-            values.append(snoc(a[0], a[1]))
-        elif tag == LEN:
-            values.append(list_length(a[0]))
-        elif tag == CPT:
-            values.append(list_component(a[0], a[1]))
+        elif rule is not None:
+            r = rule(*args, x)
+            (values if type(r) is int else control).append(r)
         elif tag == MU:
-            fd = _decoded(a[0])
+            fd = _decoded(x)
             if fd is not None and len(fd[1]) + 1 < ARITY[fd[0]]:
                 # {f}(m) is a partial-application code, never 0: the search
                 # would tick twice per candidate until the budget ran out, so
                 # drain it there at once
                 budget.charge(math.inf)
-            push(("mu", a[0], 0))
-            push(_app(a[0], 0))
-        elif tag == AP:
-            push(_app(a[0], a[1]))
-        elif tag == PAPP:
-            push(_app(a[0], a[1], a[2]))
-        elif tag == IND:
-            q1, q2, m = a
-            kind, *parts = untagged(m) or (None,)
-            if kind == "rf":
-                z, r = parts
-                push(_app(q1, z, r))
-            elif kind == "tr":
-                z, j, r = parts
-                aux = _to_expr(c2_aux_term(KNum(q1), KNum(q2), KNum(r)), {})
-                push(_app(q2, z, j, r, aux))
-            else:
-                values.append(0)
-        elif tag == TRACE:
-            e2, x2 = a
-            push(("tr", e2, x2, budget.steps))
-            push(_app(e2, x2))
-        else:
-            raise AssertionError(f"tag {tag}")
+            control += (("mu", x, 0), _app(x, 0))
+        else:                                   # TRACE
+            control += (("tr", args[0], x, budget.steps), _app(args[0], x))
     assert len(values) == 1
     return values[0]
 

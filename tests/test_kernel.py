@@ -206,6 +206,23 @@ def test_equality_reports_fuel_exhaustion():
     assert not r.accepted and r.rule == "fuel"
 
 
+def test_termeq_sides_are_not_type_checked():
+    """docs/grammar.md: that both sides of a termeq line inhabit the type is
+    the file author's obligation.  So an accepted termeq can be false in the
+    model: here the sides are not even members of N0."""
+    from covtt.realizability import validate
+    for src in ("termeq [y : U0] |- y == y : N0",
+                "termeq [] |- nhat == nhat : N0"):
+        j = parse_judgment(src)
+        assert check_judgment(j).accepted
+        for side in (j.lhs, j.rhs):
+            r = check_term(j.ctx, side, j.ty)
+            assert not r.accepted and r.rule == "conv", r
+            assert "U0 and N0 differ" in r.reason
+        got = validate(j)
+        assert (got.kind, got.reason) == ("no", "the empty type has no realizers")
+
+
 def test_error_reports_name_the_rule():
     r = check_judgment(parse_judgment(
         "term [] |- rf(inl(star), star) : "

@@ -72,6 +72,18 @@ def test_code_decode_roundtrip():
     assert decode(pair(1, enc_list([7]))) is None       # I already has 1 arg
 
 
+def test_machine_doc_lists_the_instruction_set():
+    import re
+    from pathlib import Path
+    doc = (Path(__file__).resolve().parent.parent / "docs" / "machine.md").read_text()
+    programs = doc.split("## Programs", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\|\s*(\d+)\s*\|\s*(\w+)\s*\|\s*(\d+)\s*\|", programs, re.M)
+    for tag, name, arity in rows:
+        assert getattr(K, name) == int(tag), name
+        assert K.ARITY[int(tag)] == int(arity), name
+    assert {int(tag) for tag, _, _ in rows} == set(K.ARITY)
+
+
 def test_apply_basics():
     assert apply(code(K.I), 9, 100) == 9
     assert apply_many(code(K.K), 2, 9) == 2
