@@ -12,7 +12,7 @@ import json
 import sys
 
 from . import covers, kernel, realizability
-from .kleene import Diverged, KApp, KNum, KVar
+from .kleene import Diverged, kterm_src
 from .syntax import (
     PRETYPES, CtDirective, PreTerm, SyntaxError_, parse, parse_file, to_src,
 )
@@ -91,18 +91,9 @@ def cmd_realize(args, out) -> int:
         _emit(out, {"verdict": "ok", "numeral": r, "text": str(r)},
               args.structured)
     else:
-        _emit(out, {"verdict": "ok", "kterm": _kterm_src(r),
-                    "text": _kterm_src(r)}, args.structured)
+        _emit(out, {"verdict": "ok", "kterm": kterm_src(r),
+                    "text": kterm_src(r)}, args.structured)
     return EXIT_OK
-
-
-def _kterm_src(t) -> str:
-    if isinstance(t, KNum):
-        return str(t.value)
-    if isinstance(t, KVar):
-        return t.name
-    assert isinstance(t, KApp)
-    return f"{{{_kterm_src(t.fn)}}}({_kterm_src(t.arg)})"
 
 
 def cmd_verify(args, out) -> int:

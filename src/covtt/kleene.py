@@ -19,7 +19,6 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-from dataclasses import dataclass
 from functools import lru_cache
 
 # Bracket abstraction recurses over combinator spines; give it headroom.
@@ -201,31 +200,34 @@ PAPP = 17   # PAPP e a x   = {e}(a, x)   -- total code-level partial application
 IND = 18    # IND q1 q2 m  -- cover recursor, see docs/machine.md
 TRACE = 19  # TRACE e x    = the halting trace of {e}(x)
 
-# Expressions fed to the iterative evaluator: either a value already, or an
-# application node ("app", fn_expr, arg_expr).
-_Expr = int | tuple
+# An applicative term, as the evaluator runs it: an int is a numeral, a str
+# a free variable, and ("app", f, x) applies f to x.
+KTerm = int | str | tuple
 
 
-def _app(f: _Expr, *xs: _Expr) -> _Expr:
+def kapp(f: KTerm, *xs: KTerm) -> KTerm:
     for x in xs:
         f = ("app", f, x)
     return f
 
 
-def _lrec(d: int, e: int, l: int) -> _Expr:
+def kop(tag: int, *args: KTerm) -> KTerm:
+    return kapp(code(tag), *args)
+
+
+def _lrec(d: int, e: int, l: int) -> KTerm:
     if l == 0:
         return d
     front, last = unpair(l - 1)
-    return _app(e, front, last, _app(_LREC_CODE, d, e, front))
+    return kapp(e, front, last, kapp(_LREC_CODE, d, e, front))
 
 
-def _ind(q1: int, q2: int, m: int) -> _Expr:
+def _ind(q1: int, q2: int, m: int) -> KTerm:
     kind, *parts = untagged(m) or (None,)
     if kind == "rf":
-        return _app(q1, *parts)
+        return kapp(q1, *parts)
     if kind == "tr":                            # parts are z, j, r
-        aux = _to_expr(c2_aux_term(KNum(q1), KNum(q2), KNum(parts[2])), {})
-        return _app(q2, *parts, aux)
+        return kapp(q2, *parts, c2_aux_term(q1, q2, parts[2]))
     return 0
 
 
@@ -235,7 +237,7 @@ def _ind(q1: int, q2: int, m: int) -> _Expr:
 INSTRUCTIONS = {
     K: (2, lambda a, x: a),
     I: (1, lambda x: x),
-    S: (3, lambda f, g, x: _app(_app(f, x), _app(g, x))),
+    S: (3, lambda f, g, x: kapp(kapp(f, x), kapp(g, x))),
     SUCC: (1, lambda n: n + 1),
     PRED: (1, lambda n: n - 1 if n else 0),
     PAIR: (2, pair),
@@ -244,14 +246,14 @@ INSTRUCTIONS = {
     IFZ: (3, lambda n, a, b: a if n == 0 else b),
     EQ: (2, lambda a, b: 0 if a == b else 1),
     REC: (3, lambda z, s, n: z if n == 0 else
-          _app(s, n - 1, _app(_REC_CODE, z, s, n - 1))),
+          kapp(s, n - 1, kapp(_REC_CODE, z, s, n - 1))),
     LREC: (3, _lrec),
     SNOC: (2, snoc),
     LEN: (1, list_length),
     CPT: (2, list_component),
     MU: (1, None),
-    AP: (2, _app),
-    PAPP: (3, _app),
+    AP: (2, kapp),
+    PAPP: (3, kapp),
     IND: (3, _ind),
     TRACE: (2, None),
 }
@@ -285,14 +287,14 @@ def decode(e: int) -> tuple[int, list[int]] | None:
 _REC_CODE, _LREC_CODE = code(REC), code(LREC)
 
 
-def _eval_expr(expr: _Expr, budget: Budget | int) -> int:
-    """Evaluate an application tree without growing the Python stack.
+def _eval_expr(expr: KTerm, budget: Budget | int, env: dict[str, int]) -> int:
+    """Evaluate an applicative term without growing the Python stack.
 
-    Control stack entries: an int is a value; ("app", f, x) evaluates f,
-    then x, then applies (at once when both are values already); ("ap",)
-    applies the two topmost values; ("mu", f, m) resumes an unbounded
-    search; ("tr", e, x, steps0) wraps a finished sub-run into a trace.
-    An int budget is a fresh step allowance.
+    Control stack entries: an int is a value; a str is a variable, read
+    from env; ("app", f, x) evaluates f, then x, then applies (at once when
+    both are values already); ("ap",) applies the two topmost values;
+    ("mu", f, m) resumes an unbounded search; ("tr", e, x, steps0) wraps a
+    finished sub-run into a trace.  An int budget is a fresh step allowance.
     """
     if isinstance(budget, int):
         budget = Budget(budget)
@@ -319,7 +321,14 @@ def _eval_expr(expr: _Expr, budget: Budget | int) -> int:
                 values.append(m)
             else:
                 budget.tick()
-                control += (("mu", f, m + 1), _app(f, m + 1))
+                control += (("mu", f, m + 1), ("app", f, m + 1))
+            continue
+        elif type(frame) is str:
+            # a variable (op is its first letter, never a tag), tested after
+            # the frequent frames so that they pay nothing for it
+            if frame not in env:
+                raise ValueError(f"unbound applicative variable {frame!r}")
+            values.append(env[frame])
             continue
         else:                                   # "tr"
             r = values.pop()
@@ -345,20 +354,20 @@ def _eval_expr(expr: _Expr, budget: Budget | int) -> int:
                 # would tick twice per candidate until the budget ran out, so
                 # drain it there at once
                 budget.charge(math.inf)
-            control += (("mu", x, 0), _app(x, 0))
+            control += (("mu", x, 0), ("app", x, 0))
         else:                                   # TRACE
-            control += (("tr", args[0], x, budget.steps), _app(args[0], x))
+            control += (("tr", args[0], x, budget.steps), ("app", args[0], x))
     assert len(values) == 1
     return values[0]
 
 
 def apply(e: int, n: int, budget: Budget | int = DEFAULT_FUEL) -> int:
     """Kleene application {e}(n); raises Diverged on fuel exhaustion."""
-    return _eval_expr(("app", e, n), budget)
+    return _eval_expr(("app", e, n), budget, {})
 
 
 def apply_many(e: int, *ns: int, budget: Budget | int = DEFAULT_FUEL) -> int:
-    return _eval_expr(_app(e, *ns), budget)
+    return _eval_expr(kapp(e, *ns), budget, {})
 
 
 def apply_counted(e: int, n: int, max_steps: int) -> tuple[int, int] | None:
@@ -397,27 +406,6 @@ def kleene_U(m: int) -> int:
 # Applicative terms and bracket abstraction
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class KTerm:
-    __slots__ = ()
-
-
-@dataclass(frozen=True)
-class KNum(KTerm):
-    value: int
-
-
-@dataclass(frozen=True)
-class KVar(KTerm):
-    name: str
-
-
-@dataclass(frozen=True)
-class KApp(KTerm):
-    fn: KTerm
-    arg: KTerm
-
-
 _kfresh_counter = itertools.count()
 
 
@@ -426,39 +414,37 @@ def kfresh(hint: str = "k") -> str:
 
 
 def kvars(t: KTerm) -> frozenset[str]:
-    if isinstance(t, KVar):
-        return frozenset((t.name,))
-    if isinstance(t, KApp):
-        return kvars(t.fn) | kvars(t.arg)
-    return frozenset()
+    found, todo = set(), [t]
+    while todo:
+        t = todo.pop()
+        if type(t) is tuple:
+            todo += t[1:]
+        elif type(t) is str:
+            found.add(t)
+    return frozenset(found)
 
 
 def ksubst(t: KTerm, name: str, u: KTerm) -> KTerm:
-    if isinstance(t, KVar):
-        return u if t.name == name else t
-    if isinstance(t, KApp):
-        return KApp(ksubst(t.fn, name, u), ksubst(t.arg, name, u))
-    return t
+    if type(t) is tuple:
+        return kapp(ksubst(t[1], name, u), ksubst(t[2], name, u))
+    return u if t == name else t
 
 
-def _to_expr(t: KTerm, env: dict[str, int]) -> _Expr:
-    if isinstance(t, KNum):
-        return t.value
-    if isinstance(t, KVar):
-        if t.name not in env:
-            raise ValueError(f"unbound applicative variable {t.name!r}")
-        return env[t.name]
-    assert isinstance(t, KApp)
-    return ("app", _to_expr(t.fn, env), _to_expr(t.arg, env))
+def kterm_src(t: KTerm) -> str:
+    """The printed form: {f}(a) over numerals and free variables."""
+    if type(t) is tuple:
+        return f"{{{kterm_src(t[1])}}}({kterm_src(t[2])})"
+    return str(t)
 
 
 def eval_kterm(t: KTerm, env: dict[str, int] | None = None,
                budget: Budget | int = DEFAULT_FUEL) -> int:
-    """Evaluate a closed applicative term (env supplies the free variables)."""
-    return _eval_expr(_to_expr(t, env or {}), budget)
+    """Evaluate an applicative term; env supplies its free variables, each
+    read when the run reaches it."""
+    return _eval_expr(t, budget, env or {})
 
 
-_I_LEAF, _K_LEAF, _S_LEAF = KNum(code(I)), KNum(code(K)), KNum(code(S))
+_I_LEAF, _K_LEAF, _S_LEAF = code(I), code(K), code(S)
 
 
 def lambda_abstract(t: KTerm, x: str) -> KTerm:
@@ -470,35 +456,25 @@ def lambda_abstract(t: KTerm, x: str) -> KTerm:
     subterms of t, never on their syntax.
     """
     body = _abs(t, x)
-    return KApp(_K_LEAF, t) if body is None else body
+    return kapp(_K_LEAF, t) if body is None else body
 
 
 def _abs(t: KTerm, x: str) -> KTerm | None:
     """Λx.t in one pass; None when x does not occur in t."""
-    cls = type(t)
-    if cls is KApp:
-        f, a = _abs(t.fn, x), _abs(t.arg, x)
+    if type(t) is tuple:
+        _, fn, arg = t
+        f, a = _abs(fn, x), _abs(arg, x)
         if f is None and a is None:
             return None
-        return KApp(KApp(_S_LEAF, KApp(_K_LEAF, t.fn) if f is None else f),
-                    KApp(_K_LEAF, t.arg) if a is None else a)
-    return _I_LEAF if cls is KVar and t.name == x else None
+        return kapp(_S_LEAF, kapp(_K_LEAF, fn) if f is None else f,
+                    kapp(_K_LEAF, arg) if a is None else a)
+    return _I_LEAF if t == x else None
 
 
 def lambda_abstract_many(t: KTerm, names: list[str]) -> KTerm:
     for x in reversed(names):
         t = lambda_abstract(t, x)
     return t
-
-
-def kapp(f: KTerm, *args: KTerm) -> KTerm:
-    for a in args:
-        f = KApp(f, a)
-    return f
-
-
-def kop(tag: int, *args: KTerm) -> KTerm:
-    return kapp(KNum(code(tag)), *args)
 
 
 # ---------------------------------------------------------------------------
@@ -513,7 +489,7 @@ def c2_aux_term(q1: KTerm, q2: KTerm, r: KTerm) -> KTerm:
     lambda coincide as numerals whenever the leaf values coincide.
     """
     z, u = kfresh("z"), kfresh("u")
-    body = kop(IND, q1, q2, kapp(r, KVar(z), KVar(u)))
+    body = kop(IND, q1, q2, kapp(r, z, u))
     return lambda_abstract_many(body, [z, u])
 
 
@@ -530,9 +506,8 @@ def fix_by_recursion_theorem(transformer: int, fuel: int = DEFAULT_FUEL) -> int:
     never needs to run anything to build e.
     """
     u, x = kfresh("u"), kfresh("x")
-    self_code = kop(PAIR, KNum(PAPP),
-                    kop(SNOC, kop(SNOC, KNum(0), KVar(u)), KVar(u)))
-    body = kapp(KApp(KNum(transformer), self_code), KVar(x))
+    self_code = kop(PAIR, PAPP, kop(SNOC, kop(SNOC, 0, u), u))
+    body = kapp(transformer, self_code, x)
     d = eval_kterm(lambda_abstract_many(body, [u, x]), {}, fuel)
     return code(PAPP, [d, d])
 
@@ -547,14 +522,14 @@ def _build(term: KTerm) -> int:
 
 def _mk_plus() -> int:
     a, b, k, r = kfresh("a"), kfresh("b"), kfresh("k"), kfresh("r")
-    step = lambda_abstract_many(kop(SUCC, KVar(r)), [k, r])
-    return _build(lambda_abstract_many(kop(REC, KVar(a), step, KVar(b)), [a, b]))
+    step = lambda_abstract_many(kop(SUCC, r), [k, r])
+    return _build(lambda_abstract_many(kop(REC, a, step, b), [a, b]))
 
 
 def _mk_mult() -> int:
     a, b, k, r = kfresh("a"), kfresh("b"), kfresh("k"), kfresh("r")
-    step = lambda_abstract_many(kapp(KNum(PLUS_CODE), KVar(a), KVar(r)), [k, r])
-    return _build(lambda_abstract_many(kop(REC, KNum(0), step, KVar(b)), [a, b]))
+    step = lambda_abstract_many(kapp(PLUS_CODE, a, r), [k, r])
+    return _build(lambda_abstract_many(kop(REC, 0, step, b), [a, b]))
 
 
 PLUS_CODE = _mk_plus()
@@ -571,9 +546,9 @@ def _mk_ct_realizer() -> int:
     # a fixed numeral; it is close to the identity, dressed with the trace
     # search and the result extractor.
     a, x, z = kfresh("a"), kfresh("x"), kfresh("z")
-    inner = lambda_abstract(kop(PAIR, KVar(z), kop(P1, kop(P1, KVar(z)))), z)
-    witness = lambda_abstract(KApp(inner, kop(TRACE, KVar(a), KVar(x))), x)
-    return _build(lambda_abstract(kop(PAIR, KVar(a), witness), a))
+    inner = lambda_abstract(kop(PAIR, z, kop(P1, kop(P1, z))), z)
+    witness = lambda_abstract(kapp(inner, kop(TRACE, a, x)), x)
+    return _build(lambda_abstract(kop(PAIR, a, witness), a))
 
 
 CT_REALIZER = _mk_ct_realizer()

@@ -21,9 +21,9 @@ from functools import lru_cache
 
 from . import kleene as K
 from .kleene import (
-    DEFAULT_FUEL, TAG, Budget, Diverged, KApp, KNum, KTerm, KVar,
-    dec_list, eval_kterm, kapp, kfresh, kop, lambda_abstract,
-    lambda_abstract_many, pair, tagged, unpair, untagged,
+    DEFAULT_FUEL, TAG, Budget, Diverged, KTerm, dec_list, eval_kterm, kapp,
+    kfresh, kop, lambda_abstract, lambda_abstract_many, pair, tagged, unpair,
+    untagged,
 )
 from .syntax import (
     Ap, BVar, Cons, Context, CovHat, CtDirective, EmptyRec, FVar, IdHat,
@@ -155,13 +155,13 @@ _BASE_TYPES = {TN0: ("base", 0, "the empty type has no realizers"),
 # Term interpretation
 # ---------------------------------------------------------------------------
 
-_CONSTANTS = {Zero: KNum(0), Star: KNum(0), Nil: KNum(0), N0Hat: KNum(N0_CODE),
-              N1Hat: KNum(N1_CODE), NHat: KNum(N_CODE)}
+_CONSTANTS = {Zero: 0, Star: 0, Nil: 0, N0Hat: N0_CODE, N1Hat: N1_CODE,
+              NHat: N_CODE}
 # node class -> (instruction, the parts it takes in order)
 _MACHINE = {
-    Succ: (K.SUCC, (0,)), NatRec: (K.REC, (1, 2, 0)), UnitRec: (K.K, (1, 0)),
-    EmptyRec: (K.I, (0,)), Pair: (K.PAIR, (0, 1)), Cons: (K.SNOC, (0, 1)),
-    ListRec: (K.LREC, (1, 2, 0)), Ind: (K.IND, (1, 2, 0)),
+    NatRec: (K.REC, (1, 2, 0)), UnitRec: (K.K, (1, 0)), EmptyRec: (K.I, (0,)),
+    Pair: (K.PAIR, (0, 1)), Cons: (K.SNOC, (0, 1)), ListRec: (K.LREC, (1, 2, 0)),
+    Ind: (K.IND, (1, 2, 0)),
 }
 # node class -> (tag, the parts in tuple order): the code is pair(tag, tuple);
 # the universe and proof codes take their tags from kleene.LAYOUT, and the
@@ -196,7 +196,15 @@ def interpret_term(t: PreTerm) -> KTerm:
     if cls in _CONSTANTS:
         return _CONSTANTS[cls]
     if cls is FVar:
-        return KVar(t.name)
+        return t.name
+    if cls is Succ:                     # numerals nest deeply: loop, don't recurse
+        depth = 0
+        while type(t) is Succ:
+            t, depth = t.arg, depth + 1
+        kt = interpret_term(t)
+        for _ in range(depth):
+            kt = kop(K.SUCC, kt)
+        return kt
     if cls is BVar:
         raise ValueError("cannot interpret a dangling bound variable")
     if cls not in _TERMS:
@@ -210,15 +218,15 @@ def interpret_term(t: PreTerm) -> KTerm:
         payload = p[order[0]]
         for i in order[1:]:
             payload = kop(K.PAIR, payload, p[i])
-        return kop(K.PAIR, KNum(tag), payload)
+        return kop(K.PAIR, tag, payload)
     if cls is Ap:
-        return KApp(*p)
+        return kapp(*p)
     if cls is IdPeel:
-        return KApp(p[1], p[0])
+        return kapp(p[1], p[0])
     if cls is Split:
         return kapp(p[1], kop(K.P0, p[0]), kop(K.P1, p[0]))
     if cls is When:
-        return KApp(kop(K.IFZ, kop(K.P0, p[0]), p[1], p[2]), kop(K.P1, p[0]))
+        return kapp(kop(K.IFZ, kop(K.P0, p[0]), p[1], p[2]), kop(K.P1, p[0]))
     return p[0]                         # Lam and Refl
 
 
@@ -636,9 +644,9 @@ class Model:
             budget.charge(hit[1])
             return hit[0]
         u, t = kfresh("u"), kfresh("t")
-        body: KTerm = KNum(0)
+        body: KTerm = 0
         for key, value in reversed(items):
-            body = kop(K.IFZ, kop(K.EQ, KVar(u), KNum(key)), KNum(value), body)
+            body = kop(K.IFZ, kop(K.EQ, u, key), value, body)
         before = budget.steps
         r = eval_kterm(lambda_abstract_many(body, [u, t]), {}, budget)
         if len(_TABLES) >= _TABLES_CAP:

@@ -15,8 +15,8 @@ from covtt.covers import (
 )
 from covtt.kernel import check_judgment, whnf
 from covtt.kleene import (
-    KApp, KNum, KVar, apply, code, dec_list, enc_list, eval_kterm, ksubst,
-    lambda_abstract, list_component, list_length, pair, unpair,
+    apply, code, dec_list, enc_list, eval_kterm, kapp, ksubst, lambda_abstract,
+    list_component, list_length, pair, unpair,
 )
 from covtt.realizability import (
     Model, N0_CODE, N1_CODE, N_CODE, cov_code, ct_validate, realize,
@@ -189,13 +189,13 @@ def test_pairing_and_list_laws():
 
 def test_lambda_substitution_property():
     rng = random.Random(515)
-    leaves = [KNum(code(K.SUCC)), KNum(code(K.I)), KNum(code(K.PAIR)),
-              KNum(code(K.P0)), KNum(code(K.K)), KNum(0), KNum(2), KVar("x")]
+    leaves = [code(K.SUCC), code(K.I), code(K.PAIR),
+              code(K.P0), code(K.K), 0, 2, "x"]
 
     def gen(depth):
         if depth == 0 or rng.random() < 0.35:
             return rng.choice(leaves)
-        return KApp(gen(depth - 1), gen(depth - 1))
+        return kapp(gen(depth - 1), gen(depth - 1))
 
     def run(t):
         try:
@@ -208,7 +208,7 @@ def test_lambda_substitution_property():
         t = gen(3)
         n = rng.randrange(7)
         lam_code = run(lambda_abstract(t, "x"))
-        rhs = run(ksubst(t, "x", KNum(n)))
+        rhs = run(ksubst(t, "x", n))
         if lam_code is None:
             lhs = None
         else:
@@ -245,7 +245,7 @@ def _gen_set_code(rng, rank: int) -> int:
     v = code(K.K, [_gen_set_code(rng, rank - 1)])
     i = code(K.K, [rng.choice([N0_CODE, N1_CODE])])
     c = eval_kterm(K.lambda_abstract_many(
-        KNum(code(K.K, [rng.choice([N0_CODE, N1_CODE])])), ["x", "y"]))
+        code(K.K, [rng.choice([N0_CODE, N1_CODE])]), ["x", "y"]))
     return cov_code(rng.randrange(2), v, sub, i, c)
 
 

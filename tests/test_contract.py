@@ -63,6 +63,10 @@ def _cases() -> dict[str, list[str]]:
         "realize_zero": ["realize", "0"],
         "realize_rf": ["realize", "rf(3, 9)", "--format", "structured"],
         "realize_open": ["realize", "rf(a, r)"],
+        "realize_open_structured": ["realize", "rf(a, r)", "--format", "structured"],
+        "realize_var": ["realize", "x"],
+        "realize_open_lam": ["realize", "lam x . Ap(f, x)"],
+        "realize_deep_numeral": ["realize", "10000"],
         "realize_lam": ["realize", "lam x . natrec(x; 0; k r . succ(succ(r)))"],
         "realize_omega": ["realize", OMEGA, "--fuel", "500"],
         "examples_judgments": ["examples", "judgments"],

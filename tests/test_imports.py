@@ -59,3 +59,20 @@ def test_every_traced_boundary_resolves():
             assert hasattr(obj, part), (mod, attr)
             obj = getattr(obj, part)
         assert callable(obj), (mod, attr)
+
+
+def test_every_test_helper_the_benchmark_reads_resolves():
+    """perfbench/passes.py imports tests/test_acceptance.py and reads its
+    private helpers; renaming one would break the benchmark without failing
+    any other test."""
+    passes = SRC.parent.parent / "perfbench" / "passes.py"
+    tree = ast.parse(passes.read_text(encoding="utf-8"))
+    alias = next(name.asname or name.name for node in tree.body
+                 if isinstance(node, ast.ImportFrom) and node.module == "tests"
+                 for name in node.names if name.name == "test_acceptance")
+    used = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id == alias}
+    assert {"_gen_set_code", "_oracle_set", "_wf_oracle"} <= used
+    acc = importlib.import_module("test_acceptance")
+    for name in used:
+        assert callable(getattr(acc, name, None)), name

@@ -4,9 +4,8 @@ import pytest
 
 from covtt import kleene as K
 from covtt.kleene import (
-    Diverged, KApp, KNum, KVar, apply, apply_counted, apply_many, code,
-    dec_list, enc_list, eval_kterm, fix_by_recursion_theorem, kfresh,
-    kleene_T, kleene_U, kop, ksubst, lambda_abstract, lambda_abstract_many,
+    Diverged, apply, apply_counted, apply_many, code, dec_list, enc_list,
+    eval_kterm, fix_by_recursion_theorem, kapp, kfresh, kleene_T, kleene_U, kop, ksubst, lambda_abstract, lambda_abstract_many,
     list_component, list_length, pair, trace_of, unpair, unpair0, unpair1,
 )
 
@@ -88,14 +87,14 @@ def test_apply_basics():
     assert apply(code(K.I), 9, 100) == 9
     assert apply_many(code(K.K), 2, 9) == 2
     s = code(K.SUCC)
-    twice = eval_kterm(lambda_abstract(KApp(KNum(s), KApp(KNum(s), KVar("x"))), "x"))
+    twice = eval_kterm(lambda_abstract(kapp(s, kapp(s, "x")), "x"))
     assert apply(twice, 3, 1000) == 5
 
 
 def test_apply_monotone_and_stable():
-    f = eval_kterm(lambda_abstract(kop(K.REC, KNum(0),
-                                       KNum(code(K.K, [code(K.SUCC)])),
-                                       KVar("x")), "x"))
+    f = eval_kterm(lambda_abstract(kop(K.REC, 0,
+                                       code(K.K, [code(K.SUCC)]),
+                                       "x"), "x"))
     # find the minimal budget that lets the call halt, then grow it
     result, steps = apply_counted(f, 9, 10 ** 6)
     assert result == 9
@@ -120,7 +119,7 @@ def test_divergers():
 
 def test_mu_finds_least_zero():
     eqv = kfresh("m")
-    f = eval_kterm(lambda_abstract(kop(K.EQ, KVar(eqv), KNum(3)), eqv))
+    f = eval_kterm(lambda_abstract(kop(K.EQ, eqv, 3), eqv))
     assert apply(code(K.MU), f, 10 ** 5) == 3
 
 
@@ -142,11 +141,11 @@ def test_trace_uniqueness_by_enumeration():
 
 
 def _gen_kterm(rng, depth):
-    leaves = [KNum(code(K.SUCC)), KNum(code(K.I)), KNum(code(K.PAIR)),
-              KNum(code(K.P0)), KNum(0), KNum(3), KVar("x")]
+    leaves = [code(K.SUCC), code(K.I), code(K.PAIR),
+              code(K.P0), 0, 3, "x"]
     if depth == 0 or rng.random() < 0.35:
         return rng.choice(leaves)
-    return KApp(_gen_kterm(rng, depth - 1), _gen_kterm(rng, depth - 1))
+    return kapp(_gen_kterm(rng, depth - 1), _gen_kterm(rng, depth - 1))
 
 
 def _eval_or_none(t, env=None):
@@ -162,7 +161,7 @@ def test_lambda_substitution_property():
         t = _gen_kterm(rng, 3)
         n = rng.randrange(6)
         lhs_code = _eval_or_none(lambda_abstract(t, "x"))
-        rhs = _eval_or_none(ksubst(t, "x", KNum(n)))
+        rhs = _eval_or_none(ksubst(t, "x", n))
         if lhs_code is None:
             # an x-free subterm diverges; then the substituted term does too
             assert rhs is None
@@ -177,22 +176,22 @@ def test_lambda_substitution_property():
 def test_smn_coherence():
     # abstracting a two-variable term and applying stepwise agrees with
     # direct evaluation
-    body = kop(K.PAIR, KVar("a"), kop(K.SUCC, KVar("b")))
+    body = kop(K.PAIR, "a", kop(K.SUCC, "b"))
     e = eval_kterm(lambda_abstract_many(body, ["a", "b"]))
     for a in range(4):
         partial = apply(e, a, 10 ** 5)
         for b in range(4):
-            direct = eval_kterm(ksubst(ksubst(body, "a", KNum(a)), "b", KNum(b)))
+            direct = eval_kterm(ksubst(ksubst(body, "a", a), "b", b))
             assert apply(partial, b, 10 ** 5) == direct
 
 
 def _factorial_transformer():
     ev, nv, mv = kfresh("e"), kfresh("n"), kfresh("m")
     else_code = lambda_abstract(
-        K.kapp(KNum(K.MULT_CODE), KVar(mv),
-               KApp(KVar(ev), kop(K.PRED, KVar(mv)))), mv)
-    sel = kop(K.IFZ, KVar(nv), KNum(code(K.K, [1])), else_code)
-    return eval_kterm(lambda_abstract_many(KApp(sel, KVar(nv)), [ev, nv]))
+        K.kapp(K.MULT_CODE, mv,
+               kapp(ev, kop(K.PRED, mv))), mv)
+    sel = kop(K.IFZ, nv, code(K.K, [1]), else_code)
+    return eval_kterm(lambda_abstract_many(kapp(sel, nv), [ev, nv]))
 
 
 def test_recursion_theorem_factorial():
@@ -207,7 +206,7 @@ def test_recursion_theorem_factorial():
 
 
 def test_recursion_theorem_constant():
-    F = eval_kterm(lambda_abstract_many(KNum(42), [kfresh("e"), kfresh("x")]))
+    F = eval_kterm(lambda_abstract_many(42, [kfresh("e"), kfresh("x")]))
     e = fix_by_recursion_theorem(F)
     for n in (0, 3, 99):
         assert apply(e, n, 10 ** 5) == 42
@@ -217,19 +216,19 @@ def test_ind_instruction_clauses():
     rng = random.Random(17)
     for _ in range(30):
         q1 = eval_kterm(lambda_abstract_many(
-            kop(K.PAIR, KVar("z"), kop(K.SUCC, KVar("w"))), ["z", "w"]))
-        body = rng.choice([KVar("f"), KVar("x"), kop(K.PAIR, KVar("h"), KVar("k"))])
+            kop(K.PAIR, "z", kop(K.SUCC, "w")), ["z", "w"]))
+        body = rng.choice(["f", "x", kop(K.PAIR, "h", "k")])
         q2 = eval_kterm(lambda_abstract_many(body, ["x", "h", "k", "f"]))
         indq = apply_many(code(K.IND), q1, q2)
         z, r = rng.randrange(50), rng.randrange(50)
         # clause (a)
         assert apply(indq, pair(7, pair(z, r)), 10 ** 5) == apply_many(q1, z, r)
         # clause (b): against the canonical contraction argument
-        rfn = eval_kterm(lambda_abstract_many(KNum(pair(7, pair(z, r))),
+        rfn = eval_kterm(lambda_abstract_many(pair(7, pair(z, r)),
                                               ["u", "t"]))
         j = rng.randrange(10)
         got = apply(indq, pair(8, pair(pair(z, j), rfn)), 10 ** 6)
-        aux = eval_kterm(K.c2_aux_term(KNum(q1), KNum(q2), KNum(rfn)))
+        aux = eval_kterm(K.c2_aux_term(q1, q2, rfn))
         assert got == apply_many(q2, z, j, rfn, aux)
         # the contraction argument behaves like ind composed with r
         assert apply_many(aux, 4, 5) == apply(indq, apply_many(rfn, 4, 5), 10 ** 5)
@@ -239,10 +238,10 @@ def test_ct_realizer_fixed_and_pointwise():
     assert K.ct_realizer() == K.ct_realizer()
     idc = code(K.I)
     assert K.ct_check(idc)
-    succ = eval_kterm(lambda_abstract(kop(K.SUCC, KVar("x")), "x"))
+    succ = eval_kterm(lambda_abstract(kop(K.SUCC, "x"), "x"))
     assert K.ct_check(succ)
     dbl = eval_kterm(lambda_abstract(
-        K.kapp(KNum(K.PLUS_CODE), KVar("x"), KVar("x")), "x"))
+        K.kapp(K.PLUS_CODE, "x", "x"), "x"))
     assert K.ct_check(dbl)
 
 
@@ -259,7 +258,7 @@ def test_machine_constants_pinned():
     assert K.CT_REALIZER == int(
         "27874704655050367609212222528739233273858060711068984704609620530"
         "930515767391")
-    aux = eval_kterm(K.c2_aux_term(KNum(3), KNum(5), KNum(7)))
+    aux = eval_kterm(K.c2_aux_term(3, 5, 7))
     assert aux == 289623930061026890088626839973917594
 
 
@@ -290,12 +289,12 @@ def _ref_dec_list(x):
 
 
 def _ref_abstract(t, x):
-    if isinstance(t, KVar) and t.name == x:
-        return KNum(code(K.I))
+    if t == x:
+        return code(K.I)
     if x not in K.kvars(t):
-        return KApp(KNum(code(K.K)), t)
-    return KApp(KApp(KNum(code(K.S)), _ref_abstract(t.fn, x)),
-                _ref_abstract(t.arg, x))
+        return kapp(code(K.K), t)
+    return kapp(kapp(code(K.S), _ref_abstract(t[1], x)),
+                _ref_abstract(t[2], x))
 
 
 def _ref_abstract_many(t, names):
@@ -313,9 +312,9 @@ class _RefMachine:
         self.partial = 0
 
     def eval(self, t):
-        if isinstance(t, KNum):
-            return t.value
-        return self.ap(self.eval(t.fn), self.eval(t.arg))
+        if isinstance(t, int):
+            return t
+        return self.ap(self.eval(t[1]), self.eval(t[2]))
 
     def ap(self, f, x):
         self.budget.tick()
@@ -387,8 +386,8 @@ class _RefMachine:
                 zj, r = _ref_unpair(payload)
                 z, j = _ref_unpair(zj)
                 head = ap(ap(ap(q2, z), j), r)
-                body = kop(K.IND, KNum(q1), KNum(q2),
-                           K.kapp(KNum(r), KVar("z'"), KVar("u'")))
+                body = kop(K.IND, q1, q2,
+                           K.kapp(r, "z'", "u'"))
                 return ap(head, self.eval(_ref_abstract_many(body, ["z'", "u'"])))
             return 0
         assert tag == K.TRACE
@@ -419,23 +418,23 @@ def _run(e, n, fuel):
 def _leaf_pool(rng):
     """Leaves for random programs: every instruction, some of them partially
     applied, small numerals, lists and cover-proof codes for IND."""
-    pool = [KNum(code(tag)) for tag in K.ARITY]
-    pool += [KNum(code(tag, [rng.randrange(4)])) for tag in (K.K, K.EQ, K.PAIR)]
-    pool += [KNum(code(K.K, [code(K.SUCC)])), KNum(K.PLUS_CODE)]
-    pool += [KNum(n) for n in (0, 1, 2, 5)]
-    pool += [KNum(enc_list([1, 0, 2])), KNum(enc_list([3]))]
+    pool = [code(tag) for tag in K.ARITY]
+    pool += [code(tag, [rng.randrange(4)]) for tag in (K.K, K.EQ, K.PAIR)]
+    pool += [code(K.K, [code(K.SUCC)]), K.PLUS_CODE]
+    pool += [n for n in (0, 1, 2, 5)]
+    pool += [enc_list([1, 0, 2]), enc_list([3])]
     q = code(K.K, [code(K.SUCC)])
-    pool += [KNum(pair(7, pair(2, 1))), KNum(pair(8, pair(pair(1, 0), q))),
-             KNum(pair(9, 4))]
+    pool += [pair(7, pair(2, 1)), pair(8, pair(pair(1, 0), q)),
+             pair(9, 4)]
     return pool
 
 
 def _gen_program(rng, pool, depth, names):
     if depth == 0 or rng.random() < 0.3:
         if names and rng.random() < 0.35:
-            return KVar(rng.choice(names))
+            return rng.choice(names)
         return rng.choice(pool)
-    return KApp(_gen_program(rng, pool, depth - 1, names),
+    return kapp(_gen_program(rng, pool, depth - 1, names),
                 _gen_program(rng, pool, depth - 1, names))
 
 
@@ -444,19 +443,19 @@ def _fixed_programs():
     recursion, search, traces, both IND clauses and the recursion theorem."""
     f, z, r, x = kfresh("f"), kfresh("z"), kfresh("r"), kfresh("x")
     dbl = eval_kterm(lambda_abstract(
-        K.kapp(KNum(K.PLUS_CODE), KVar(x), KVar(x)), x))
+        K.kapp(K.PLUS_CODE, x, x), x))
     summ = eval_kterm(lambda_abstract(kop(
-        K.LREC, KNum(0),
-        lambda_abstract_many(K.kapp(KNum(K.PLUS_CODE), KVar(z), KVar(r)),
-                             [f, z, r]), KVar(x)), x))
-    eq3 = eval_kterm(lambda_abstract(kop(K.EQ, KVar(x), KNum(3)), x))
-    q1 = eval_kterm(lambda_abstract_many(kop(K.PAIR, KVar(z), KVar(r)), [z, r]))
+        K.LREC, 0,
+        lambda_abstract_many(K.kapp(K.PLUS_CODE, z, r),
+                             [f, z, r]), x), x))
+    eq3 = eval_kterm(lambda_abstract(kop(K.EQ, x, 3), x))
+    q1 = eval_kterm(lambda_abstract_many(kop(K.PAIR, z, r), [z, r]))
     q2 = eval_kterm(lambda_abstract_many(
-        kop(K.PAIR, kop(K.PAIR, KVar("c"), KVar("f")),
-            K.kapp(KVar("f"), KNum(1), KNum(0))),
+        kop(K.PAIR, kop(K.PAIR, "c", "f"),
+            K.kapp("f", 1, 0)),
         ["a", "b", "c", "f"]))
     ind = apply_many(code(K.IND), q1, q2)
-    rfn = eval_kterm(lambda_abstract_many(KNum(pair(7, pair(4, 2))), ["u", "t"]))
+    rfn = eval_kterm(lambda_abstract_many(pair(7, pair(4, 2)), ["u", "t"]))
     fact = fix_by_recursion_theorem(_factorial_transformer())
     return [
         (K.MULT_CODE, 3), (code(K.PAPP, [K.MULT_CODE, 4]), 5),
@@ -470,10 +469,10 @@ def _fixed_programs():
     ]
 
 
-def _counted_term(t, fuel):
+def _counted_term(t, fuel, env=None):
     budget = K.Budget(fuel)
     try:
-        return eval_kterm(t, {}, budget), budget.steps
+        return eval_kterm(t, env, budget), budget.steps
     except Diverged:
         return None, budget.steps
 
@@ -516,6 +515,34 @@ def test_machine_matches_reference():
             assert _ref_run(e, n, steps - 1) == (None, 0)
     assert ran == set(K.ARITY)             # every instruction executed
     assert partial > 1000
+
+
+def test_environment_matches_substitution():
+    """A free variable is read from eval_kterm's env when the run reaches it:
+    the same result, or divergence, with the same steps left as running the
+    term with each variable substituted by its value."""
+    rng = random.Random(2718)
+    pool = _leaf_pool(rng)
+    halted = 0
+    for _ in range(1500):
+        names = ["x", "y", "z"][:rng.randrange(1, 4)]
+        t = _gen_program(rng, pool, rng.randrange(1, 6), names)
+        env = {x: rng.choice(pool) for x in names}
+        closed = t
+        for x, v in env.items():
+            closed = ksubst(closed, x, v)
+        fuel = rng.choice([5, 50, 2000])
+        got = _counted_term(t, fuel, env)
+        assert got == _counted_term(closed, fuel), t
+        if got[0] is not None and K.kvars(t):
+            # a run that halts reaches every leaf, so it reaches a dropped one
+            halted += 1
+            dropped = rng.choice(sorted(K.kvars(t)))
+            with pytest.raises(ValueError, match="unbound applicative variable"):
+                eval_kterm(t, {x: v for x, v in env.items() if x != dropped}, fuel)
+    assert halted > 100
+    with pytest.raises(ValueError, match="unbound applicative variable 'w'"):
+        eval_kterm(kapp(code(K.SUCC), "w"))
 
 
 def _searches_over_partial_applications():
@@ -577,7 +604,7 @@ def test_unpair_matches_reference():
 
 def test_lambda_abstract_matches_reference():
     rng = random.Random(31)
-    pool = [KNum(0), KNum(7), KNum(code(K.SUCC)), KVar("w")]
+    pool = [0, 7, code(K.SUCC), "w"]
     for _ in range(2000):
         t = _gen_program(rng, pool, rng.randrange(0, 7), ["x", "y", "z"])
         for x in ("x", "y", "q"):

@@ -8,7 +8,7 @@ from covtt import kleene as K
 from covtt import realizability as R
 from covtt.kernel import check_judgment
 from covtt.kleene import (
-    Diverged, KNum, KVar, apply, apply_many, code, eval_kterm, kop, pair,
+    Diverged, apply, apply_many, code, eval_kterm, kop, pair,
 )
 from covtt.realizability import (
     CYCLE, Model, N0_CODE, N1_CODE, N_CODE, check_realizer, cov_code,
@@ -168,7 +168,7 @@ def test_persistence_small():
 def _two_point_cover(v_code):
     s = pair(3, pair(N1_CODE, N1_CODE))         # two-point carrier
     i = code(K.K, [N1_CODE])                    # one index per point
-    c = eval_kterm(K.lambda_abstract_many(KNum(code(K.K, [N0_CODE])),
+    c = eval_kterm(K.lambda_abstract_many(code(K.K, [N0_CODE]),
                                           ["x", "y"]))  # empty covering subsets
     return s, i, c, v_code
 
@@ -203,7 +203,7 @@ def test_cover_fixpoint_tr_closure():
 def test_cover_fixpoint_empty_when_no_rule_applies():
     s = pair(3, pair(N1_CODE, N1_CODE))
     i = code(K.K, [N0_CODE])                    # no indices at all
-    c = eval_kterm(K.lambda_abstract_many(KNum(code(K.K, [N0_CODE])),
+    c = eval_kterm(K.lambda_abstract_many(code(K.K, [N0_CODE]),
                                           ["x", "y"]))
     v = code(K.K, [N0_CODE])
     pairs, exact = cover_fixpoint(s, i, c, v, 4)
@@ -225,7 +225,7 @@ def _gen_style_cover():
     s = pair(3, pair(N1_CODE, N1_CODE))
     v = code(K.K, [N1_CODE])
     i = code(K.K, [N1_CODE])
-    c = eval_kterm(K.lambda_abstract_many(KNum(code(K.K, [N1_CODE])),
+    c = eval_kterm(K.lambda_abstract_many(code(K.K, [N1_CODE]),
                                           ["x", "y"]))
     return s, i, c, v
 
@@ -233,9 +233,9 @@ def _gen_style_cover():
 def _table_cost(table):
     """Steps of building the table code from scratch, straight from its
     definition: {r}(u, t) = table[u], 0 outside."""
-    body = KNum(0)
+    body = 0
     for key in sorted(table, reverse=True):
-        body = kop(K.IFZ, kop(K.EQ, KVar("u"), KNum(key)), KNum(table[key]), body)
+        body = kop(K.IFZ, kop(K.EQ, "u", key), table[key], body)
     budget = K.Budget(10 ** 6)
     r = eval_kterm(K.lambda_abstract_many(body, ["u", "t"]), {}, budget)
     return r, 10 ** 6 - budget.steps
@@ -575,6 +575,13 @@ def test_validate_judgments():
     assert validate(parse_judgment("typeeq [] |- N1 == N0")).kind == "no"
 
 
+def test_deep_numerals_interpret_in_a_loop():
+    # a succ chain far deeper than the recursion limit allows frames for
+    assert interpret_term(parse_term("3")) == kop(K.SUCC, kop(K.SUCC, kop(K.SUCC, 0)))
+    assert realize(parse_term("10000")) == 10000
+    assert validate(parse_judgment("term [] |- 12000 : N")).kind == "yes"
+
+
 def test_type_formation_judgments_hold_by_construction():
     # every interpreted pretype is a class of naturals, so formation holds
     for src in ["type [] |- N", "type [x : U0] |- T(x)",
@@ -626,7 +633,7 @@ def test_ind_code_defining_clauses_via_terms():
         assert apply(indq, rf_code(z, r), 10 ** 5) == apply_many(q1c, z, r)
         rfn = realize(parse_term(f"lam z . lam u . rf({z}, {r})"))
         got = apply(indq, tr_code(z, 3, rfn), 10 ** 6)
-        aux = eval_kterm(K.c2_aux_term(KNum(q1c), KNum(q2c), KNum(rfn)))
+        aux = eval_kterm(K.c2_aux_term(q1c, q2c, rfn))
         assert got == apply_many(q2c, z, 3, rfn, aux)
 
 
