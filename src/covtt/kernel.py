@@ -48,14 +48,6 @@ class CheckResult:
     rule: str | None = None
     reason: str | None = None
 
-    @staticmethod
-    def ok() -> "CheckResult":
-        return CheckResult(True)
-
-    @staticmethod
-    def fail(e: CheckFailure) -> "CheckResult":
-        return CheckResult(False, e.rule, e.msg)
-
 
 @contextmanager
 def _premise(rule: str, what: str):
@@ -202,8 +194,9 @@ def _eq_type(ctx: Context, a: PreTerm, b: PreTerm, budget: Budget) -> None:
 
 
 def _eq_term_in(ctx: Context, a: PreTerm, b: PreTerm, budget: Budget) -> None:
-    wa = _whnf(a, budget)
-    wb = _whnf(b, budget)
+    wa, wb = _whnf(a, budget), _whnf(b, budget)
+    while isinstance(wa, Succ) and isinstance(wb, Succ):   # a numeral, in a loop
+        wa, wb = _whnf(wa.arg, budget), _whnf(wb.arg, budget)
     if type(wa) is not type(wb):
         raise CheckFailure("eq-term", f"{to_src(wa)} and {to_src(wb)} differ")
     if isinstance(wa, FVar):
@@ -233,9 +226,9 @@ def _run(rule, fuel: int, *args) -> CheckResult:
     """Run one judgment rule on a fresh budget and report its verdict."""
     try:
         rule(*args, Budget(fuel))
-        return CheckResult.ok()
+        return CheckResult(True)
     except CheckFailure as e:
-        return CheckResult.fail(e)
+        return CheckResult(False, e.rule, e.msg)
     except Diverged:
         return CheckResult(False, "fuel", "weak-head step limit reached")
 
@@ -255,57 +248,45 @@ def check_eq_term(ctx: Context, a: PreTerm, b: PreTerm, ty: PreTerm,
 # Type formation
 # ---------------------------------------------------------------------------
 
+# former -> its rule and one premise label per part.  A code former has the
+# parts of the pretype it decodes to (_DECODE) and premises read off them.
+_FORMATION = {
+    TSigma: ("Sigma-F", "domain", "codomain"), TPi: ("Pi-F", "domain", "codomain"),
+    TSum: ("Sum-F", "component", "component"), TList: ("List-F", "element type"),
+    TId: ("Id-F", "underlying type", "endpoint", "endpoint"),
+    TDec: ("T-F", "code is not an element of U0"),
+    SigmaHat: ("Sigma-hat", "base code", "family"),
+    PiHat: ("Pi-hat", "base code", "family"),
+    PlusHat: ("plus-hat", "summand code", "summand code"),
+    ListHat: ("list-hat", "element code"),
+    IdHat: ("id-hat", "base code", "endpoint", "endpoint"),
+}
+
+
 def _wf_type(ctx: Context, a: PreTerm, budget: Budget) -> None:
-    match a:
-        case TN0() | TN1() | TN() | TU0():
-            return
-        case TSigma(dom, cod) | TPi(dom, cod):
-            rule = "Sigma-F" if isinstance(a, TSigma) else "Pi-F"
-            with _premise(rule, "domain"):
-                _wf_type(ctx, dom, budget)
-            x = fresh_name(a.hint)
-            with _premise(rule, "codomain"):
-                _wf_type(ctx.extend(x, dom), instantiate(cod, (FVar(x),)), budget)
-        case TSum(l, r):
-            with _premise("Sum-F", "component"):
-                _wf_type(ctx, l, budget)
-                _wf_type(ctx, r, budget)
-        case TList(e):
-            with _premise("List-F", "element type"):
-                _wf_type(ctx, e, budget)
-        case TId(ty, l, r):
-            with _premise("Id-F", "underlying type"):
-                _wf_type(ctx, ty, budget)
-            with _premise("Id-F", "endpoint"):
-                _check(ctx, l, ty, budget)
-                _check(ctx, r, ty, budget)
-        case TDec(code):
-            with _premise("T-F", "code is not an element of U0"):
-                _check(ctx, code, TU0(), budget)
-        case _:
-            raise CheckFailure("type", f"{to_src(a)} is not a pretype")
+    """A type part must be a type, a binder part a type under a fresh variable
+    of the first part, and a term part a term of the first part (of U0 in T)."""
+    cls = type(a)
+    if cls not in _TYPE_PARTS:
+        raise CheckFailure("type", f"{to_src(a)} is not a pretype")
+    rule, *labels = _FORMATION.get(cls, ("",))
+    hints = iter(_HINTS[cls])
+    parts = [getattr(a, name) for name, _ in _SIG[cls]]
+    for part, (_, arity), is_type, label in zip(parts, _SIG[cls], _TYPE_PARTS[cls],
+                                                labels):
+        with _premise(rule, label):
+            if arity:
+                x = fresh_name(getattr(a, next(hints)))
+                _wf_type(ctx.extend(x, parts[0]), instantiate(part, (FVar(x),)), budget)
+            elif is_type:
+                _wf_type(ctx, part, budget)
+            else:
+                _check(ctx, part, parts[0] if _TYPE_PARTS[cls][0] else TU0(), budget)
 
 
 # ---------------------------------------------------------------------------
 # Term checking and inference
 # ---------------------------------------------------------------------------
-
-def _axcov(ctx: Context, s, i, c, i_hint, c_hints, budget: Budget) -> None:
-    """The shared premises of the cover rules: axcov(s, i, c)."""
-    with _premise("F-cov", "carrier code s"):
-        _check(ctx, s, TU0(), budget)
-    x = fresh_name(i_hint)
-    ctx_x = ctx.extend(x, TDec(s))
-    with _premise("F-cov", "index family i"):
-        _check(ctx_x, instantiate(i, (FVar(x),)), TU0(), budget)
-    xc = fresh_name(c_hints[0])
-    y = fresh_name(c_hints[1])
-    i_at = instantiate(i, (FVar(xc),))
-    ctx_c = ctx.extend(xc, TDec(s)).extend(y, TDec(i_at))
-    with _premise("F-cov", "covering family c"):
-        _check(ctx_c, instantiate(c, (FVar(xc), FVar(y))),
-               arrow(TDec(s), TU0()), budget)
-
 
 def _infer(ctx: Context, t: PreTerm, budget: Budget) -> PreTerm:
     match t:
@@ -314,11 +295,8 @@ def _infer(ctx: Context, t: PreTerm, budget: Budget) -> PreTerm:
             if ty is None:
                 raise CheckFailure("var", f"variable {name} is not in the context")
             return ty
-        case Zero():
-            return TN()
-        case Succ(arg):
-            with _premise("N-I", "argument of succ"):
-                _check(ctx, arg, TN(), budget)
+        case Zero() | Succ():
+            _check(ctx, t, TN(), budget)
             return TN()
         case Star():
             return TN1()
@@ -331,39 +309,36 @@ def _infer(ctx: Context, t: PreTerm, budget: Budget) -> PreTerm:
                 _check(ctx, arg, fty.dom, budget)
             return instantiate(fty.cod, (arg,))
         case Refl(arg):
-            ty = _infer(ctx, arg, budget)
-            return TId(ty, arg, arg)
-        case N0Hat() | N1Hat() | NHat():
-            return TU0()
-        case SigmaHat(s, f) | PiHat(s, f):
-            rule = "Sigma-hat" if isinstance(t, SigmaHat) else "Pi-hat"
-            with _premise(rule, "base code"):
-                _check(ctx, s, TU0(), budget)
-            with _premise(rule, "family"):
-                _check(ctx, f, arrow(TDec(s), TU0()), budget)
-            return TU0()
-        case PlusHat(l, r):
-            with _premise("plus-hat", "summand code"):
-                _check(ctx, l, TU0(), budget)
-                _check(ctx, r, TU0(), budget)
-            return TU0()
-        case ListHat(s):
-            with _premise("list-hat", "element code"):
-                _check(ctx, s, TU0(), budget)
-            return TU0()
-        case IdHat(s, l, r):
-            with _premise("id-hat", "base code"):
-                _check(ctx, s, TU0(), budget)
-            with _premise("id-hat", "endpoint"):
-                _check(ctx, l, TDec(s), budget)
-                _check(ctx, r, TDec(s), budget)
-            return TU0()
+            return TId(_infer(ctx, arg, budget), arg, arg)
         case CovHat(s, i, c, a, v):
-            _axcov(ctx, s, i, c, t.idx_hint, t.cov_hints, budget)
+            # written out, as its binders are dependent: axcov(s, i, c), a, v
+            with _premise("F-cov", "carrier code s"):
+                _check(ctx, s, TU0(), budget)
+            x = fresh_name(t.idx_hint)
+            with _premise("F-cov", "index family i"):
+                _check(ctx.extend(x, TDec(s)), instantiate(i, (FVar(x),)), TU0(), budget)
+            xc, y = fresh_name(t.cov_hints[0]), fresh_name(t.cov_hints[1])
+            ctx_c = ctx.extend(xc, TDec(s)).extend(y, TDec(instantiate(i, (FVar(xc),))))
+            with _premise("F-cov", "covering family c"):
+                _check(ctx_c, instantiate(c, (FVar(xc), FVar(y))),
+                       arrow(TDec(s), TU0()), budget)
             with _premise("F-cov", "element a"):
                 _check(ctx, a, TDec(s), budget)
             with _premise("F-cov", "subset v"):
                 _check(ctx, v, arrow(TDec(s), TU0()), budget)
+            return TU0()
+        case _ if type(t) in _DECODE:
+            # the premises of the pretype t decodes to, one universe down: a
+            # code for a type part, a family T(s) -> U0 for a binder part, and
+            # a term of T(s) for a term part, where s is the first part
+            rule, *labels = _FORMATION.get(type(t), ("",))
+            parts = [getattr(t, name) for name, _ in _SIG[type(t)]]
+            cls = _DECODE[type(t)]
+            for part, (_, arity), is_type, label in zip(parts, _SIG[cls],
+                                                        _TYPE_PARTS[cls], labels):
+                with _premise(rule, label):
+                    _check(ctx, part, arrow(TDec(parts[0]), TU0()) if arity
+                           else TU0() if is_type else TDec(parts[0]), budget)
             return TU0()
     raise CheckFailure("infer", f"no type can be inferred for {to_src(t)}")
 
@@ -410,9 +385,12 @@ def _check(ctx: Context, t: PreTerm, goal: PreTerm, budget: Budget) -> None:
         case Zero() | Succ():
             if not isinstance(g, TN):
                 raise CheckFailure("N-I", f"numeral against {to_src(g)}")
-            if isinstance(t, Succ):
-                with _premise("N-I", "argument of succ"):
-                    _check(ctx, t.arg, TN(), budget)
+            n = 0
+            while isinstance(t, Succ):       # a numeral is peeled in a loop
+                n, t = n + 1, t.arg
+            if n:
+                with _premise("N-I", ": ".join(["argument of succ"] * n)):
+                    _check(ctx, t, TN(), budget)
         case Star():
             if not isinstance(g, TN1):
                 raise CheckFailure("N1-I", f"star against {to_src(g)}")
@@ -424,33 +402,28 @@ def _check(ctx: Context, t: PreTerm, goal: PreTerm, budget: Budget) -> None:
             with _premise("Id-I", "equation"):
                 _eq_term_in(ctx, a, g.lhs, budget)
                 _eq_term_in(ctx, a, g.rhs, budget)
-        case Rf(a, r):
+        case Rf(a) | Tr(a):
+            kw, rule = ("rf", "rf-cov") if isinstance(t, Rf) else ("tr", "tr-cov")
             cov = g.code if isinstance(g, TDec) else None
             if not isinstance(cov, CovHat):
-                raise CheckFailure("rf-cov", f"rf against {to_src(g)}")
-            with _premise("rf-cov", "element a"):
+                raise CheckFailure(rule, f"{kw} against {to_src(g)}")
+            with _premise(rule, "element a"):
                 _check(ctx, a, TDec(cov.base), budget)
-            with _premise("rf-cov", "a is not the covered element"):
+            with _premise(rule, "a is not the covered element"):
                 _eq_term_in(ctx, a, cov.elem, budget)
-            with _premise("rf-cov", "r does not check against a eps v"):
-                _check(ctx, r, TDec(Ap(cov.sub, a)), budget)
-        case Tr(a, j, r):
-            cov = g.code if isinstance(g, TDec) else None
-            if not isinstance(cov, CovHat):
-                raise CheckFailure("tr-cov", f"tr against {to_src(g)}")
-            with _premise("tr-cov", "element a"):
-                _check(ctx, a, TDec(cov.base), budget)
-            with _premise("tr-cov", "a is not the covered element"):
-                _eq_term_in(ctx, a, cov.elem, budget)
-            with _premise("tr-cov", "index j"):
-                _check(ctx, j, TDec(instantiate(cov.idx, (a,))), budget)
-            c_at = instantiate(cov.cov, (a, j))
+            if isinstance(t, Rf):
+                with _premise(rule, "r does not check against a eps v"):
+                    _check(ctx, t.mem, TDec(Ap(cov.sub, a)), budget)
+                return
+            with _premise(rule, "index j"):
+                _check(ctx, t.idx, TDec(instantiate(cov.idx, (a,))), budget)
+            c_at = instantiate(cov.cov, (a, t.idx))
             z = fresh_name("z")
             r_ty = pi_(z, TDec(cov.base),
                        arrow(TDec(Ap(c_at, FVar(z))), _cover_at(g, FVar(z))))
-            with _premise("tr-cov", "r does not check against "
-                                    "(Pi z : T(s)) (z eps c(a,j) -> z cov v)"):
-                _check(ctx, r, r_ty, budget)
+            with _premise(rule, "r does not check against "
+                                "(Pi z : T(s)) (z eps c(a,j) -> z cov v)"):
+                _check(ctx, t.fn, r_ty, budget)
         case NatRec() | UnitRec() | EmptyRec() | Split() | When() | ListRec() \
                 | IdPeel() | Ind():
             _check_elim(ctx, t, goal, budget)
@@ -611,33 +584,27 @@ def check_context(ctx: Context, fuel: int = DEFAULT_FUEL) -> CheckResult:
     for name, ty in ctx.entries:
         r = check_type(seen, ty, fuel)
         if not r.accepted:
-            return CheckResult(False, r.rule,
-                               f"context entry {name}: {r.reason}")
+            return CheckResult(False, r.rule, f"context entry {name}: {r.reason}")
         seen = seen.extend(name, ty)
-    return CheckResult.ok()
+    return CheckResult(True)
 
 
 def check_judgment(j: Judgment, fuel: int = DEFAULT_FUEL) -> CheckResult:
+    """The context, then the judgment's types, then its own check; the first
+    rejection is the verdict."""
+    match j:
+        case TypeWF(_, ty):
+            types, own = (ty,), ()
+        case TypeEq(ctx, a, b):
+            types, own = (a, b), (_eq_type, ctx, a, b)
+        case TermOf(ctx, t, ty):
+            types, own = (ty,), (_check, ctx, t, ty)
+        case TermEq(ctx, a, b, ty):
+            # the equands' own typability is the file author's obligation
+            types, own = (ty,), (_eq_term_in, ctx, a, b)
+        case _:
+            raise TypeError(f"not a judgment: {j!r}")
     r = check_context(j.ctx, fuel)
-    if not r.accepted:
-        return r
-    if isinstance(j, TypeWF):
-        return check_type(j.ctx, j.ty, fuel)
-    if isinstance(j, TypeEq):
-        for side in (j.lhs, j.rhs):
-            r = check_type(j.ctx, side, fuel)
-            if not r.accepted:
-                return r
-        return check_eq_type(j.ctx, j.lhs, j.rhs, fuel)
-    if isinstance(j, TermOf):
-        r = check_type(j.ctx, j.ty, fuel)
-        if not r.accepted:
-            return r
-        return check_term(j.ctx, j.term, j.ty, fuel)
-    if isinstance(j, TermEq):
-        r = check_type(j.ctx, j.ty, fuel)
-        if not r.accepted:
-            return r
-        # the equands' own typability is the file author's obligation
-        return check_eq_term(j.ctx, j.lhs, j.rhs, j.ty, fuel)
-    raise TypeError(f"not a judgment: {j!r}")
+    for ty in types:
+        r = check_type(j.ctx, ty, fuel) if r.accepted else r
+    return _run(own[0], fuel, *own[1:]) if r.accepted and own else r

@@ -431,10 +431,16 @@ def ksubst(t: KTerm, name: str, u: KTerm) -> KTerm:
 
 
 def kterm_src(t: KTerm) -> str:
-    """The printed form: {f}(a) over numerals and free variables."""
-    if type(t) is tuple:
-        return f"{{{kterm_src(t[1])}}}({kterm_src(t[2])})"
-    return str(t)
+    """The printed form: {f}(a) over numerals and free variables.  The walk
+    keeps an explicit stack, as kvars does; punctuation goes on it as text."""
+    out, todo = [], [t]
+    while todo:
+        t = todo.pop()
+        if type(t) is tuple:
+            todo += (")", t[2], "}(", t[1], "{")
+        else:
+            out.append(str(t))
+    return "".join(out)
 
 
 def eval_kterm(t: KTerm, env: dict[str, int] | None = None,

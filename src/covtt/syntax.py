@@ -755,6 +755,15 @@ class _Parser:
     # -- terms ---------------------------------------------------------------
 
     def term(self) -> PreTerm:
+        n = 0                   # a run of "succ(" is read in a loop, not nested
+        while self.peek().text == "succ" and self.toks[self.pos + 1].text == "(":
+            self.pos, n = self.pos + 2, n + 1
+        if n:
+            tm = self.term()
+            for _ in range(n):
+                self.expect(")")
+                tm = Succ(tm)
+            return tm
         t = self.peek()
         if t.text == "(":
             self.next()

@@ -70,6 +70,18 @@ def test_eval_and_realize():
     assert rc == 0 and "a" in out and "(" in out
 
 
+def test_deep_terms_print_and_check(tmp_path):
+    rc, out = run(["realize", "Ap(f, 25000)"])
+    assert rc == 0
+    assert out.strip() == "{f}(" + "{13}(" * 25000 + "0" + ")" * 25001
+    rc, out = run(["realize", "rf(a, r)"])
+    assert rc == 0 and out.strip() == "{{15}(7)}({{15}(a)}(r))"
+    f = tmp_path / "deep.judg"
+    f.write_text("term [] |- 25000 : N\ntermeq [] |- 25000 == 25000 : N\n")
+    rc, out = run(["check", str(f)])
+    assert rc == 0 and out.splitlines() == ["1: accepted", "2: accepted"]
+
+
 def test_verify(corpus_dir, tmp_path):
     rc, out = run(["verify", str(corpus_dir / "ct.judg")])
     assert rc == 0

@@ -223,6 +223,103 @@ def test_termeq_sides_are_not_type_checked():
         assert (got.kind, got.reason) == ("no", "the empty type has no realizers")
 
 
+_C = "T(cov(nhat; x . n1hat; x y . lam z . n0hat; 0; lam z . n1hat))"
+_UNIFY = "inferred type does not match the goal: "
+
+# One rejected judgment per premise of every formation rule, every
+# code-formation rule, F-cov, and the rf/tr guards and premises; then the
+# order of check_judgment (context, types, the judgment's own check) and
+# premises nested inside premises.  Each with its full "[rule] reason".
+PREMISE_REPORTS = [
+    ("type [] |- Sigma x : T(star) . N",
+     "[Sigma-F] domain: code is not an element of U0: star against U0"),
+    ("type [] |- Sigma x : N . T(x)",
+     "[Sigma-F] codomain: code is not an element of U0: " + _UNIFY
+     + "N and U0 differ"),
+    ("type [] |- Pi x : T(star) . N",
+     "[Pi-F] domain: code is not an element of U0: star against U0"),
+    ("type [] |- Pi x : N . T(x)",
+     "[Pi-F] codomain: code is not an element of U0: " + _UNIFY
+     + "N and U0 differ"),
+    ("type [] |- Sum(T(star), N)",
+     "[Sum-F] component: code is not an element of U0: star against U0"),
+    ("type [] |- Sum(N, T(star))",
+     "[Sum-F] component: code is not an element of U0: star against U0"),
+    ("type [] |- List(T(star))",
+     "[List-F] element type: code is not an element of U0: star against U0"),
+    ("type [] |- Id(T(star), star, star)",
+     "[Id-F] underlying type: code is not an element of U0: star against U0"),
+    ("type [] |- Id(N, star, 0)", "[Id-F] endpoint: star against N"),
+    ("type [] |- Id(N, 0, star)", "[Id-F] endpoint: star against N"),
+    ("type [] |- T(star)", "[T-F] code is not an element of U0: star against U0"),
+    ("term [] |- sigmahat(star, lam x . nhat) : U0",
+     "[Sigma-hat] base code: star against U0"),
+    ("term [] |- sigmahat(nhat, star) : U0",
+     "[Sigma-hat] family: star against T(nhat) -> U0"),
+    ("term [] |- pihat(star, lam x . nhat) : U0",
+     "[Pi-hat] base code: star against U0"),
+    ("term [] |- pihat(nhat, star) : U0",
+     "[Pi-hat] family: star against T(nhat) -> U0"),
+    ("term [] |- plushat(star, nhat) : U0",
+     "[plus-hat] summand code: star against U0"),
+    ("term [] |- plushat(nhat, star) : U0",
+     "[plus-hat] summand code: star against U0"),
+    ("term [] |- listhat(star) : U0", "[list-hat] element code: star against U0"),
+    ("term [] |- idhat(star, 0, 0) : U0", "[id-hat] base code: star against U0"),
+    ("term [] |- idhat(nhat, star, 0) : U0", "[id-hat] endpoint: star against N"),
+    ("term [] |- idhat(nhat, 0, star) : U0", "[id-hat] endpoint: star against N"),
+    ("term [] |- cov(star; x . n1hat; x y . lam z . n0hat; star; lam z . n0hat) : U0",
+     "[F-cov] carrier code s: star against U0"),
+    ("term [] |- cov(nhat; x . star; x y . lam z . n0hat; 0; lam z . n0hat) : U0",
+     "[F-cov] index family i: star against U0"),
+    ("term [] |- cov(nhat; x . n1hat; x y . star; 0; lam z . n0hat) : U0",
+     "[F-cov] covering family c: star against T(nhat) -> U0"),
+    ("term [] |- cov(nhat; x . n1hat; x y . lam z . n0hat; star; lam z . n0hat) : U0",
+     "[F-cov] element a: star against N"),
+    ("term [] |- cov(nhat; x . n1hat; x y . lam z . n0hat; 0; star) : U0",
+     "[F-cov] subset v: star against T(nhat) -> U0"),
+    ("term [] |- rf(0, star) : N", "[rf-cov] rf against N"),
+    ("term [] |- rf(star, star) : " + _C, "[rf-cov] element a: star against N"),
+    ("term [] |- rf(1, star) : " + _C,
+     "[rf-cov] a is not the covered element: 1 and 0 differ"),
+    ("term [] |- rf(0, 0) : " + _C,
+     "[rf-cov] r does not check against a eps v: numeral against N1"),
+    ("term [] |- tr(0, star, star) : N", "[tr-cov] tr against N"),
+    ("term [] |- tr(star, star, lam z . lam u . star) : " + _C,
+     "[tr-cov] element a: star against N"),
+    ("term [] |- tr(1, star, lam z . lam u . star) : " + _C,
+     "[tr-cov] a is not the covered element: 1 and 0 differ"),
+    ("term [] |- tr(0, 0, lam z . lam u . star) : " + _C,
+     "[tr-cov] index j: numeral against N1"),
+    ("term [] |- tr(0, star, star) : " + _C,
+     "[tr-cov] r does not check against (Pi z : T(s)) (z eps c(a,j) -> z cov v): "
+     "star against Pi z : T(nhat) . T(Ap(lam z1 . n0hat, z)) -> "
+     "T(cov(nhat; x . n1hat; x y . lam z1 . n0hat; z; lam z1 . n1hat))"),
+    ("type [x : T(star)] |- N",
+     "[T-F] context entry x: code is not an element of U0: star against U0"),
+    ("typeeq [] |- T(star) == N",
+     "[T-F] code is not an element of U0: star against U0"),
+    ("typeeq [] |- N == T(star)",
+     "[T-F] code is not an element of U0: star against U0"),
+    ("term [] |- 0 : T(star)", "[T-F] code is not an element of U0: star against U0"),
+    ("termeq [] |- 0 == 0 : T(star)",
+     "[T-F] code is not an element of U0: star against U0"),
+    ("type [] |- Pi x : N . T(sigmahat(nhat, x))",
+     "[Pi-F] codomain: code is not an element of U0: family: " + _UNIFY
+     + "N and T(nhat) -> U0 differ"),
+    ("type [] |- Sigma x : N . Pi y : T(x) . N",
+     "[Sigma-F] codomain: domain: code is not an element of U0: " + _UNIFY
+     + "N and U0 differ"),
+    ("type [] |- T(pihat(nhat, lam x . sigmahat(x, nhat)))",
+     "[T-F] code is not an element of U0: family: base code: " + _UNIFY
+     + "N and U0 differ"),
+    ("type [] |- T(idhat(nhat, 0, lam x . x))",
+     "[T-F] code is not an element of U0: endpoint: lambda against N"),
+    ("term [] |- sigmahat(nhat, lam x . idhat(nhat, x, star)) : U0",
+     "[Sigma-hat] family: endpoint: star against N"),
+]
+
+
 def test_error_reports_name_the_rule():
     r = check_judgment(parse_judgment(
         "term [] |- rf(inl(star), star) : "
@@ -230,3 +327,34 @@ def test_error_reports_name_the_rule():
         "inl(star); lam z . n0hat))"))
     assert r.rule == "rf-cov"
     assert "a eps v" in r.reason
+    for src, want in PREMISE_REPORTS:
+        r = check_judgment(parse_judgment(src))
+        assert not r.accepted and f"[{r.rule}] {r.reason}" == want, (src, r)
+
+
+def test_numerals_check_without_recursion():
+    ok("term [] |- 25000 : N")
+    ok("termeq [] |- 25000 == 25000 : N")
+    r = bad("termeq [] |- 25000 == 24999 : N", "eq-term")
+    assert r.reason == "1 and 0 differ"
+    # a failing chain keeps one premise per level of succ
+    r = bad("term [x : N1] |- succ(succ(succ(x))) : N", "N-I")
+    assert r.reason == "argument of succ: " * 3 + _UNIFY + "N1 and N differ"
+    r = bad("term [] |- refl(succ(star)) : Id(N, 1, 1)", "Id-I")
+    assert r.reason == "reflected term: argument of succ: star against N"
+
+
+def test_grammar_doc_lists_the_formation_premises():
+    import re
+    from pathlib import Path
+    from covtt.kernel import _FORMATION
+    from covtt.syntax import _FORMS, _TYPE_FORMS, TPi, TSigma
+    doc = (Path(__file__).resolve().parent.parent / "docs" / "grammar.md").read_text()
+    reports = doc.split("## Reports", 1)[1]
+    rows = re.findall(r"^\|\s*([\w-]+)\s*\|\s*`(\w+)[^`]*`\s*\|([^|]*)\|$",
+                      reports, re.M)
+    former = {"Sigma": TSigma, "Pi": TPi,
+              **{kw: cls for kw, (cls, _) in {**_FORMS, **_TYPE_FORMS}.items()}}
+    got = {former[kw]: (rule, *(w.strip() for w in labels.split(",")))
+           for rule, kw, labels in rows}
+    assert got == _FORMATION

@@ -244,6 +244,21 @@ def test_deep_types_parse():
     assert t == parse_type("N")
 
 
+def test_a_run_of_succ_parses_in_a_loop():
+    from covtt.syntax import as_numeral
+    assert as_numeral(parse_term("succ(" * 30000 + "0" + ")" * 30000)) == 30000
+    # the loop reports a malformed run where the bracketed former did
+    for src, want in [("succ", "1:5: expected '(', found 'end of input'"),
+                      ("succ(", "1:6: expected a term, found 'end of input'"),
+                      ("succ(succ(0)", "1:13: expected ')', found 'end of input'"),
+                      ("succ(succ(0)))", "1:14: trailing input ')'"),
+                      ("succ(succ(x, 0))", "1:12: expected ')', found ','"),
+                      ("succ succ(0)", "1:6: expected '(', found 'succ'")]:
+        with pytest.raises(SyntaxError_) as e:
+            parse_term(src)
+        assert str(e.value) == want, src
+
+
 def test_parse_dispatch():
     from covtt.syntax import TermOf, TPi
     assert isinstance(parse("term [] |- 0 : N"), TermOf)
