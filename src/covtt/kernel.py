@@ -201,7 +201,9 @@ def _eq_term_in(ctx: Context, a: PreTerm, b: PreTerm, budget: Budget) -> None:
         raise CheckFailure("eq-term", f"{to_src(wa)} and {to_src(wb)} differ")
     if isinstance(wa, FVar):
         if wa.name != wb.name:
-            raise CheckFailure("eq-term", f"variables {wa.name} and {wb.name} differ")
+            used = {wa.name, wb.name}
+            raise CheckFailure("eq-term", f"variables {to_src(wa, used)} and "
+                               f"{to_src(wb, used)} differ")
         return
     if isinstance(wa, BVar):
         if wa.k != wb.k:

@@ -21,8 +21,9 @@ import math
 import sys
 from functools import lru_cache
 
-# Bracket abstraction recurses over combinator spines; give it headroom.
-# Machine evaluation itself is iterative and never deepens the Python stack.
+# The parser's nesting, the kernel, the printer and the syntax rebuild on
+# nesting other than numerals still recurse; give them headroom.  Machine
+# evaluation and bracket abstraction are iterative.
 sys.setrecursionlimit(max(sys.getrecursionlimit(), 20_000))
 
 DEFAULT_FUEL = 10 ** 6
@@ -466,15 +467,22 @@ def lambda_abstract(t: KTerm, x: str) -> KTerm:
 
 
 def _abs(t: KTerm, x: str) -> KTerm | None:
-    """Λx.t in one pass; None when x does not occur in t."""
-    if type(t) is tuple:
-        _, fn, arg = t
-        f, a = _abs(fn, x), _abs(arg, x)
-        if f is None and a is None:
-            return None
-        return kapp(_S_LEAF, kapp(_K_LEAF, fn) if f is None else f,
-                    kapp(_K_LEAF, arg) if a is None else a)
-    return _I_LEAF if t == x else None
+    """Λx.t in one pass; None when x does not occur in t.  The walk keeps an
+    explicit stack, as kvars does: an application is met once going down
+    and once more, marked, to build it from its two parts' results."""
+    done, todo = [], [(t, False)]
+    while todo:
+        t, built = todo.pop()
+        if type(t) is not tuple:
+            done.append(_I_LEAF if t == x else None)
+        elif not built:
+            todo += ((t, True), (t[2], False), (t[1], False))
+        else:
+            a, f = done.pop(), done.pop()
+            done.append(None if f is None and a is None else kapp(
+                _S_LEAF, kapp(_K_LEAF, t[1]) if f is None else f,
+                kapp(_K_LEAF, t[2]) if a is None else a))
+    return done[0]
 
 
 def lambda_abstract_many(t: KTerm, names: list[str]) -> KTerm:

@@ -22,16 +22,15 @@ from functools import lru_cache
 from . import kleene as K
 from .kleene import (
     DEFAULT_FUEL, TAG, Budget, Diverged, KTerm, dec_list, eval_kterm, kapp,
-    kfresh, kop, lambda_abstract, lambda_abstract_many, pair, tagged, unpair,
-    untagged,
+    kfresh, kop, lambda_abstract_many, pair, tagged, unpair, untagged,
 )
 from .syntax import (
     Ap, BVar, Cons, Context, CovHat, CtDirective, EmptyRec, FVar, IdHat,
     IdPeel, Ind, Inl, Inr, Judgment, Lam, ListHat, ListRec, N0Hat, N1Hat,
     NatRec, NHat, Nil, Pair, PiHat, PlusHat, PreTerm, Refl, Rf, SigmaHat,
     Split, Star, Succ, TDec, TId, TList, TN, TN0, TN1, TPi, TSigma, TSum,
-    TU0, Tr, TypeEq, TypeWF, TermEq, TermOf, UnitRec, When, Zero, open_with,
-    _HINTS, _SIG, to_src,
+    TU0, Tr, TypeEq, TypeWF, TermEq, TermOf, UnitRec, When, Zero, fresh_name,
+    open_with, _SIG, to_src,
 )
 
 DEFAULT_STAGE = 8
@@ -173,25 +172,22 @@ _CODED = {Inl: (0, (0,)), Inr: (1, (0,)), CovHat: (TAG["cov"], (3, 4, 0, 1, 2)),
 _TERMS = {*_MACHINE, *_CODED, Lam, Refl, Ap, IdPeel, Split, When}
 
 
-def _parts(t: PreTerm) -> list[KTerm]:
-    """The interpreted fields of t; a binder field is abstracted over its names."""
-    hints = iter(_HINTS[type(t)])
+def _parts(t: PreTerm, names: tuple[str, ...]) -> list[KTerm]:
+    """The interpreted fields of t; a binder field is abstracted over new names."""
     out = []
     for name, arity in _SIG[type(t)]:
         part = getattr(t, name)
         if not arity:
-            out.append(interpret_term(part))
-        elif arity == 1:
-            (x,), body = open_with(part, (getattr(t, next(hints)),))
-            out.append(lambda_abstract(interpret_term(body), x))
+            out.append(interpret_term(part, names))
         else:
-            names, body = open_with(part, getattr(t, next(hints)))
-            out.append(lambda_abstract_many(interpret_term(body), list(names)))
+            xs = [fresh_name() for _ in range(arity)]
+            out.append(lambda_abstract_many(interpret_term(part, (*names, *xs)), xs))
     return out
 
 
-def interpret_term(t: PreTerm) -> KTerm:
-    """Translate a preterm to an applicative term; free variables pass through."""
+def interpret_term(t: PreTerm, names: tuple[str, ...] = ()) -> KTerm:
+    """Translate a preterm to an applicative term; free variables pass through.
+    BVar(k) is the variable names[-1 - k], the binder names outermost first."""
     cls = type(t)
     if cls in _CONSTANTS:
         return _CONSTANTS[cls]
@@ -201,15 +197,17 @@ def interpret_term(t: PreTerm) -> KTerm:
         depth = 0
         while type(t) is Succ:
             t, depth = t.arg, depth + 1
-        kt = interpret_term(t)
+        kt = interpret_term(t, names)
         for _ in range(depth):
             kt = kop(K.SUCC, kt)
         return kt
     if cls is BVar:
+        if t.k < len(names):
+            return names[-1 - t.k]
         raise ValueError("cannot interpret a dangling bound variable")
     if cls not in _TERMS:
         raise ValueError(f"not a term: {to_src(t)}")
-    p = _parts(t)
+    p = _parts(t, names)
     if cls in _MACHINE:
         op, order = _MACHINE[cls]
         return kop(op, *[p[i] for i in order])

@@ -388,49 +388,58 @@ def fresh_name(hint: str = "x") -> str:
     return f"{hint}%{next(_fresh_counter)}"
 
 
-def _map_vars(t: PreTerm, on_bvar, on_fvar, depth: int = 0) -> PreTerm:
-    if isinstance(t, BVar):
-        return on_bvar(t, depth)
-    if isinstance(t, FVar):
-        return on_fvar(t, depth)
-    sig = _SIG[type(t)]
-    if not sig:
-        return t
+def _map(t: PreTerm, at, depth: int = 0) -> PreTerm:
+    """Rebuild t: at(node, depth) gives a node's replacement, or None to keep
+    the node and rebuild its parts; depth counts the binders above the node.
+    A run of Succ is walked in a loop, at still seeing every node of it."""
+    new = at(t, depth)
+    if new is not None:
+        return new
+    if type(t) is Succ:
+        run = [t]
+        while type(t := t.arg) is Succ and (new := at(t, depth)) is None:
+            run.append(t)
+        new = _map(t, at, depth) if new is None else new
+        for s in reversed(run):
+            new = s if new is s.arg else Succ(new)
+        return new
     changes = {}
-    for name, arity in sig:
+    for name, arity in _SIG[type(t)]:
         old = getattr(t, name)
-        new = _map_vars(old, on_bvar, on_fvar, depth + arity)
+        new = _map(old, at, depth + arity)
         if new is not old:
             changes[name] = new
     return dataclasses.replace(t, **changes) if changes else t
+
+
+def _subterms(t: PreTerm):
+    """Every node of t in print order, with the number of binders above it."""
+    todo = [(t, 0)]
+    while todo:
+        t, depth = todo.pop()
+        yield t, depth
+        todo += [(getattr(t, f), depth + arity) for f, arity in reversed(_SIG[type(t)])]
 
 
 def instantiate(body: PreTerm, vals: tuple[PreTerm, ...]) -> PreTerm:
     """Fill a body binding len(vals) variables; vals are listed outermost first."""
     n = len(vals)
 
-    def on_bvar(v: BVar, depth: int) -> PreTerm:
-        if v.k < depth:
-            return v
-        excess = v.k - depth
-        if excess < n:
-            return vals[n - 1 - excess]
-        raise ValueError(f"dangling index {v.k} beyond binder arity {n}")
+    def at(t: PreTerm, depth: int) -> PreTerm | None:
+        if type(t) is BVar and t.k >= depth:
+            if t.k - depth < n:
+                return vals[n - 1 - t.k + depth]
+            raise ValueError(f"dangling index {t.k} beyond binder arity {n}")
 
-    return _map_vars(body, on_bvar, lambda v, d: v)
+    return _map(body, at)
 
 
 def close_over(t: PreTerm, names: tuple[str, ...]) -> PreTerm:
     """Turn the named free variables into bound ones, outermost first."""
     n = len(names)
     pos = {nm: i for i, nm in enumerate(names)}
-
-    def on_fvar(v: FVar, depth: int) -> PreTerm:
-        if v.name in pos:
-            return BVar(depth + (n - 1 - pos[v.name]))
-        return v
-
-    return _map_vars(t, lambda v, d: v, on_fvar)
+    return _map(t, lambda s, depth: BVar(depth + n - 1 - pos[s.name])
+                if type(s) is FVar and s.name in pos else None)
 
 
 def open_with(body: PreTerm, hints: tuple[str, ...]) -> tuple[tuple[str, ...], PreTerm]:
@@ -441,23 +450,11 @@ def open_with(body: PreTerm, hints: tuple[str, ...]) -> tuple[tuple[str, ...], P
 
 def substitute(t: PreTerm, name: str, u: PreTerm) -> PreTerm:
     """Capture-avoiding substitution of u for the free variable name in t."""
-    return _map_vars(t, lambda v, d: v,
-                     lambda v, d: u if v.name == name else v)
+    return _map(t, lambda s, _: u if type(s) is FVar and s.name == name else None)
 
 
 def free_vars(t: PreTerm) -> frozenset[str]:
-    acc: set[str] = set()
-    stack = [t]
-    while stack:
-        s = stack.pop()
-        if isinstance(s, FVar):
-            acc.add(s.name)
-        elif isinstance(s, BVar):
-            pass
-        else:
-            for name, _ in _SIG[type(s)]:
-                stack.append(getattr(s, name))
-    return frozenset(acc)
+    return frozenset(s.name for s, _ in _subterms(t) if type(s) is FVar)
 
 
 def alpha_eq(t: PreTerm, u: PreTerm) -> bool:
@@ -471,20 +468,7 @@ def abstract_out(t: PreTerm, sub: PreTerm, name: str) -> PreTerm:
     sub must be locally closed; occurrences under binders are still found
     because indices inside them are self-contained.
     """
-    if t == sub:
-        return FVar(name)
-    if isinstance(t, (BVar, FVar)):
-        return t
-    sig = _SIG[type(t)]
-    if not sig:
-        return t
-    changes = {}
-    for fname, _ in sig:
-        old = getattr(t, fname)
-        new = abstract_out(old, sub, name)
-        if new is not old:
-            changes[fname] = new
-    return dataclasses.replace(t, **changes) if changes else t
+    return _map(t, lambda s, _: FVar(name) if s == sub else None)
 
 
 def pi_(name: str, dom: PreTerm, cod: PreTerm) -> TPi:
@@ -926,41 +910,35 @@ def parse_file(text: str) -> list[tuple[int, Judgment | CtDirective]]:
 # ---------------------------------------------------------------------------
 
 def _pick(hint: str, used: set[str]) -> str:
+    """A name for hint, renamed apart from used; it is added to used."""
     base = hint.split("%")[0] or "x"
     if base in KEYWORDS:
         base = base + "v"
-    if base not in used:
-        return base
+    name = base
     for i in itertools.count(1):
-        cand = f"{base}{i}"
-        if cand not in used:
-            return cand
-    raise AssertionError
+        if name not in used:
+            used.add(name)
+            return name
+        name = f"{base}{i}"
 
 
 def to_src(t: PreTerm, used: set[str] | None = None) -> str:
+    """The concrete syntax of t.  A variable the checker drew (its name holds
+    '%') prints as its hint, renamed apart; the names so picked stay in used."""
+    free = dict.fromkeys(s.name for s, _ in _subterms(t) if type(s) is FVar)
     if used is None:
-        used = set(free_vars(t))
-    return _pr(t, used)
+        used = set(free)
+    drawn = tuple(n for n in free if "%" in n)
+    return _pr(close_over(t, drawn), used, [_pick(n, used) for n in drawn])
 
 
-def _open_pr(body: PreTerm, hints, used: set[str]) -> tuple[list[str], PreTerm]:
-    if isinstance(hints, str):
-        hints = (hints,)
-    names = []
-    for h in hints:
-        nm = _pick(h, used)
-        used.add(nm)
-        names.append(nm)
-    return names, instantiate(body, tuple(FVar(n) for n in names))
-
-
-def _pr_binder(body, hints, used) -> tuple[str, str]:
-    names, opened = _open_pr(body, hints, used)
-    s = _pr(opened, used)
-    for n in names:
-        used.discard(n)
-    return " ".join(names), s
+def _pr_binder(body: PreTerm, hints, used: set[str], names: list[str]) -> tuple[str, str]:
+    xs = [_pick(h, used) for h in ((hints,) if isinstance(hints, str) else hints)]
+    names += xs
+    s = _pr(body, used, names)
+    del names[-len(xs):]
+    used.difference_update(xs)
+    return " ".join(xs), s
 
 
 # node class -> (keyword, separator) for each entry of _FORMS and _TYPE_FORMS
@@ -969,27 +947,31 @@ _ATOM_OF = {cls: kw for kw, cls in {**_ATOMS, **_TYPE_ATOMS}.items()}
 _JUDGMENT_OF = {cls: kw for kw, (cls, _) in _JUDGMENTS.items()}
 
 
-def _pr(t: PreTerm, used: set[str]) -> str:
+def _pr(t: PreTerm, used: set[str], names: list[str]) -> str:
+    """Print t; BVar(k) is names[-1 - k], the binder names outermost first."""
     match t:
         case FVar(name):
             return name
-        case BVar(k):
-            return f"?{k}"              # only reachable on non-locally-closed trees
+        case BVar(k):                   # ?k only on non-locally-closed trees
+            return names[-1 - k] if k < len(names) else f"?{k}"
         case Zero() | Succ() if (n := as_numeral(t)) is not None:
             return str(n)
         case Lam(b):
-            xs, body = _pr_binder(b, t.hint, used)
+            xs, body = _pr_binder(b, t.hint, used, names)
             return f"lam {xs} . {body}"
-        case TPi(dom, _) if not _uses_bound(t.cod):
-            cod = instantiate(t.cod, (FVar(fresh_name("_")),))
-            ds = _pr(dom, used)
+        case TPi(dom, cod) if not any(type(s) is BVar and s.k == depth
+                                      for s, depth in _subterms(cod)):
+            ds = _pr(dom, used, names)
             if isinstance(dom, (TPi, TSigma)):
                 ds = f"({ds})"
-            return f"{ds} -> {_pr(cod, used)}"
+            names.append("_")           # the codomain's unused variable
+            cs = _pr(cod, used, names)
+            names.pop()
+            return f"{ds} -> {cs}"
         case TSigma(dom, _) | TPi(dom, _):
             kw = "Sigma" if isinstance(t, TSigma) else "Pi"
-            xs, body = _pr_binder(t.cod, t.hint, used)
-            return f"{kw} {xs} : {_pr(dom, used)} . {body}"
+            xs, body = _pr_binder(t.cod, t.hint, used, names)
+            return f"{kw} {xs} : {_pr(dom, used, names)} . {body}"
     cls = type(t)
     if cls in _ATOM_OF:
         return _ATOM_OF[cls]
@@ -1000,22 +982,11 @@ def _pr(t: PreTerm, used: set[str]) -> str:
     parts = []
     for name, arity in _SIG[cls]:
         if arity:
-            xs, body = _pr_binder(getattr(t, name), getattr(t, next(hints)), used)
+            xs, body = _pr_binder(getattr(t, name), getattr(t, next(hints)), used, names)
             parts.append(f"{xs} . {body}")
         else:
-            parts.append(_pr(getattr(t, name), used))
+            parts.append(_pr(getattr(t, name), used, names))
     return f"{kw}({sep.join(parts)})"
-
-
-def _uses_bound(body: PreTerm, depth: int = 0) -> bool:
-    if isinstance(body, BVar):
-        return body.k == depth
-    if isinstance(body, FVar):
-        return False
-    for name, arity in _SIG[type(body)]:
-        if _uses_bound(getattr(body, name), depth + arity):
-            return True
-    return False
 
 
 def judgment_to_src(j: Judgment | CtDirective) -> str:

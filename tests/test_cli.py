@@ -80,6 +80,19 @@ def test_deep_terms_print_and_check(tmp_path):
     f.write_text("term [] |- 25000 : N\ntermeq [] |- 25000 == 25000 : N\n")
     rc, out = run(["check", str(f)])
     assert rc == 0 and out.splitlines() == ["1: accepted", "2: accepted"]
+    # a numeral under a binder: opened, substituted and abstracted in loops
+    assert run(["eval", "lam x . 25000"]) == (0, "lam x . 25000\n")
+    assert run(["eval", "Ap(lam x . 25000, 0)"]) == (0, "25000\n")
+    from covtt.kleene import apply
+    rc, out = run(["realize", "lam x . 25000"])
+    assert rc == 0 and apply(int(out), 7) == 25000
+    assert run(["realize", "Ap(lam x . 25000, 0)"]) == (0, "25000\n")
+    f.write_text("termeq [] |- Ap(lam x . 25000, 0) == 25000 : N\n"
+                 "term [] |- lam x . 25000 : N -> N\n")
+    rc, out = run(["check", str(f)])
+    assert rc == 0 and out.splitlines() == ["1: accepted", "2: accepted"]
+    rc, out = run(["verify", str(f)])
+    assert rc == 0 and out.splitlines() == ["1: yes", "2: unknown(sampling)"]
 
 
 def test_verify(corpus_dir, tmp_path):

@@ -317,6 +317,15 @@ PREMISE_REPORTS = [
      "[T-F] code is not an element of U0: endpoint: lambda against N"),
     ("term [] |- sigmahat(nhat, lam x . idhat(nhat, x, star)) : U0",
      "[Sigma-hat] family: endpoint: star against N"),
+    # a variable the checker introduced prints by its source name
+    ("typeeq [] |- Pi x : N . Id(N, x, x) == Pi y : N . Id(N, y, 0)",
+     "[eq-term] x and 0 differ"),
+    ("typeeq [] |- Pi x : N . Pi y : N . Id(N, x, x) == Pi x : N . Pi y : N . Id(N, y, x)",
+     "[eq-term] variables x and y differ"),
+    ("type [] |- Sigma v : N . T(ind(ind(v; x w . 0; x h k f . 0); x w . nhat; "
+     "x h k f . nhat))",
+     "[Sigma-F] codomain: code is not an element of U0: scrutinee type cannot be "
+     "inferred: no type can be inferred for ind(v; x w . 0; x h k f . 0)"),
 ]
 
 

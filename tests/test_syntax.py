@@ -1,10 +1,11 @@
+import hashlib
 import random
 
 import pytest
 
 from covtt.syntax import (
-    SyntaxError_, alpha_eq, free_vars, judgment_to_src, parse, parse_judgment,
-    parse_term, parse_type, substitute, to_src,
+    FVar, Succ, SyntaxError_, abstract_out, alpha_eq, free_vars, judgment_to_src,
+    numeral, parse, parse_judgment, parse_term, parse_type, substitute, to_src,
 )
 
 SAMPLES = [
@@ -228,12 +229,30 @@ def _gen_judgment(rng):
     return f"{kw} [{', '.join(entries)}] |- {body}"
 
 
+# SHA-256 of the 400 printed judgments below, one per line: pins the text
+# (the names picked, the arrows, the renaming apart), not just parse∘print = id
+ROUND_TRIP_DIGEST = "a498ac6cd2c7695e242dc9f25bc47623a7e244e9bf0ac65071c9c833a5828c97"
+
+
 def test_judgment_round_trip():
     rng = random.Random(20261019)
+    digest = hashlib.sha256()
     for _ in range(400):
         j = parse_judgment(_gen_judgment(rng))
         printed = judgment_to_src(j)
         assert parse_judgment(printed) == j, printed
+        digest.update(printed.encode() + b"\n")
+    assert digest.hexdigest() == ROUND_TRIP_DIGEST
+
+
+def test_abstract_out():
+    five = numeral(5)
+    assert abstract_out(five, numeral(3), "n") == Succ(Succ(FVar("n")))
+    # an occurrence under a binder is found: sub is locally closed
+    t = parse_term("lam x . pair(x, succ(0))")
+    assert abstract_out(t, numeral(1), "n") == parse_term("lam x . pair(x, n)")
+    # nothing matches: the very same object comes back
+    assert abstract_out(t, numeral(2), "n") is t
 
 
 def test_deep_types_parse():
