@@ -28,7 +28,7 @@ from .syntax import (
     Inr, Judgment, Lam, ListHat, ListRec, N0Hat, N1Hat, NatRec, NHat, Nil,
     Pair, PiHat, PlusHat, PreTerm, Refl, Rf, SigmaHat, Split, Star, Succ,
     TDec, TId, TList, TN, TN0, TN1, TPi, TSigma, TSum, TU0, Tr, TypeEq,
-    TypeWF, TermEq, TermOf, UnitRec, When, Zero, abstract_out, arrow,
+    TypeWF, TermEq, TermOf, UnitRec, When, Zero, abstract_out, alpha_eq, arrow,
     fresh_name, instantiate, pi_, substitute, to_src,
 )
 
@@ -213,7 +213,7 @@ def _eq_term_in(ctx: Context, a: PreTerm, b: PreTerm, budget: Budget) -> None:
         fa, fb = getattr(wa, field), getattr(wb, field)
         if arity == 0:
             _eq_term_in(ctx, fa, fb, budget)
-        elif fa != fb:
+        elif not alpha_eq(fa, fb):
             # binder bodies compare up to alpha only; no reduction under binders
             if isinstance(wa, Lam):
                 raise CheckFailure(

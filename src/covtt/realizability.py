@@ -30,7 +30,7 @@ from .syntax import (
     NatRec, NHat, Nil, Pair, PiHat, PlusHat, PreTerm, Refl, Rf, SigmaHat,
     Split, Star, Succ, TDec, TId, TList, TN, TN0, TN1, TPi, TSigma, TSum,
     TU0, Tr, TypeEq, TypeWF, TermEq, TermOf, UnitRec, When, Zero, fresh_name,
-    open_with, _SIG, to_src,
+    _SIG, to_src,
 )
 
 DEFAULT_STAGE = 8
@@ -145,9 +145,9 @@ def cov_code(a: int, v: int, s: int, i: int, c: int) -> int:
 N0_CODE = tagged("base", 0)
 N1_CODE = tagged("base", 1)
 N_CODE = tagged("base", 2)
-# the base pretypes' views: (kind, j, the reason a non-member is refused)
-_BASE_TYPES = {TN0: ("base", 0, "the empty type has no realizers"),
-               TN1: ("base", 1, "{} is not 0"), TN: ("base", 2, None)}
+# the atomic pretypes' views; a base type's is (kind, j, why a non-member fails)
+_ATOMIC_TYPES = {TN0: ("base", 0, "the empty type has no realizers"), TU0: ("U0",),
+                 TN1: ("base", 1, "{} is not 0"), TN: ("base", 2, None)}
 
 
 # ---------------------------------------------------------------------------
@@ -228,6 +228,28 @@ def interpret_term(t: PreTerm, names: tuple[str, ...] = ()) -> KTerm:
     return p[0]                         # Lam and Refl
 
 
+def compile_type(ty: PreTerm, names: tuple[str, ...] = ()) -> tuple:
+    """The pretype as the tree Model._view reads, made once per judgment: a
+    sigma or pi is (kind, dom, cod, y), an Id endpoint or T code a KTerm."""
+    cls = type(ty)
+    if cls is TSigma or cls is TPi:
+        y = fresh_name(ty.hint)
+        return ("sigma" if cls is TSigma else "pi", compile_type(ty.dom, names),
+                compile_type(ty.cod, (*names, y)), y)
+    if cls is TSum:
+        return "plus", compile_type(ty.left, names), compile_type(ty.right, names)
+    if cls is TList:
+        return "list", compile_type(ty.elem, names)
+    if cls is TId:
+        return ("Id", compile_type(ty.ty, names), interpret_term(ty.lhs, names),
+                interpret_term(ty.rhs, names))
+    if cls is TDec:
+        return "T", interpret_term(ty.code, names)
+    if cls in _ATOMIC_TYPES:
+        return _ATOMIC_TYPES[cls]
+    raise ValueError(f"not a pretype: {to_src(ty)}")
+
+
 # ---------------------------------------------------------------------------
 # The stage-indexed model
 # ---------------------------------------------------------------------------
@@ -268,9 +290,9 @@ class Model:
             self._apply_memo[key] = (r, before - budget.steps)
         return r
 
-    def eval_term(self, t: PreTerm, env: dict[str, int]) -> int | None:
+    def value(self, kt: KTerm, env: dict[str, int]) -> int | None:
         try:
-            return eval_kterm(interpret_term(t), env, self.budget)
+            return eval_kterm(kt, env, self.budget)
         except Diverged:
             return None
 
@@ -354,20 +376,16 @@ class Model:
         return sampled(parts, exact)
 
     # -- membership ----------------------------------------------------------
-    # A source is a set code at a stage, (n, k), or a pretype under an
-    # environment, (ty, env); one set of clauses reads both through _view.
+    # A source is a set code at a stage, (n, k), or a compiled pretype in an
+    # environment, (compile_type(ty), env); _view reads both for one set of clauses.
 
     def contains(self, src, x: int) -> Tri:
         """Whether x realizes the source."""
-        if type(src[0]) is int:
-            return self.mem_at(x, *src)
-        return self._holds(src, x)
+        return self.mem_at(x, *src) if type(src[0]) is int else self._holds(src, x)
 
     def elements(self, src) -> tuple[list[int], bool]:
         """Realizers of the source; the flag reports exhaustiveness."""
-        if type(src[0]) is int:
-            return self.members(*src)
-        return self._enum(src)
+        return self.members(*src) if type(src[0]) is int else self._enum(src)
 
     def mem_at(self, m: int, n: int, k: int) -> Tri:
         return self._memo(self._mem_memo, Model._mem_at, (m, n, k), CYCLE)
@@ -394,32 +412,21 @@ class Model:
         return (xs, exact) if len(xs) <= cap else (xs[:cap], False)
 
     def _view(self, src) -> tuple:
-        """The source as decode_set's (kind, *parts), every part a source and
-        a family part either (e, k) for a code or (body, env, y) for a
-        pretype.  A pretype's leaves are read here too: its Id endpoints and
-        its decoded code are evaluated in env."""
-        ty, env = src
-        if type(ty) is int:
-            return _code_view(ty, env)
-        cls = type(ty)
-        if cls is TSigma or cls is TPi:
-            (y,), body = open_with(ty.cod, (ty.hint,))
-            kind = "sigma" if cls is TSigma else "pi"
-            return kind, (ty.dom, env), (body, env, y)
-        if cls is TSum:
-            return "plus", (ty.left, env), (ty.right, env)
-        if cls is TList:
-            return "list", (ty.elem, env)
-        if cls in _BASE_TYPES:
-            return _BASE_TYPES[cls]
-        if cls is TId:
-            return ("Id", (ty.ty, env), self.eval_term(ty.lhs, env),
-                    self.eval_term(ty.rhs, env))
-        if cls is TDec:
-            return "T", self.eval_term(ty.code, env)
-        if cls is TU0:
-            return ("U0",)
-        raise ValueError(f"not a pretype: {to_src(ty)}")
+        """The source as decode_set's (kind, *parts), each part a source or a
+        family, (e, k) or (cod, env, y); a pretype's Id and T terms run here."""
+        node, env = src
+        if type(node) is int:
+            return _code_view(node, env)
+        kind = node[0]
+        if kind == "sigma" or kind == "pi":
+            return kind, (node[1], env), (node[2], env, node[3])
+        if kind == "plus" or kind == "list":
+            return kind, *[(part, env) for part in node[1:]]
+        if kind == "Id":
+            return kind, (node[1], env), *[self.value(t, env) for t in node[2:]]
+        if kind == "T":
+            return kind, self.value(node[1], env)
+        return node                         # the atomic types
 
     def _at(self, fam, x: int):
         """The source a family gives at x; None when the budget runs out."""
@@ -701,6 +708,7 @@ def _sample_envs(model: Model, ctx: Context) -> tuple[list[dict[str, int]], bool
     envs: list[dict[str, int]] = [{}]
     exact = True
     for name, ty in ctx.entries:
+        ty = compile_type(ty)
         new_envs = []
         for env in envs:
             vals, ex = model.elements((ty, env))
@@ -721,9 +729,9 @@ def _sample_envs(model: Model, ctx: Context) -> tuple[list[dict[str, int]], bool
     return envs, exact
 
 
-def _validate_in_env(model: Model, j: Judgment, env: dict[str, int]) -> Tri:
+def _validate_in_env(model: Model, j: Judgment, sides: tuple, env: dict) -> Tri:
     if isinstance(j, TypeEq):
-        a, b = (j.lhs, env), (j.rhs, env)
+        a, b = [(ty, env) for ty in sides]
         xs_a, ex_a = model.elements(a)
         xs_b, ex_b = model.elements(b)
         probes = set(xs_a) | set(xs_b) | set(range(min(model.bound, 16)))
@@ -735,20 +743,13 @@ def _validate_in_env(model: Model, j: Judgment, env: dict[str, int]) -> Tri:
             if "unknown" in (ta.kind, tb.kind):
                 parts.append(ta if ta.kind == "unknown" else tb)
         return sampled(parts, ex_a and ex_b)
-    if isinstance(j, TermOf):
-        v = model.eval_term(j.term, env)
-        if v is None:
-            return FUEL
-        return model.contains((j.ty, env), v)
-    if isinstance(j, TermEq):
-        va = model.eval_term(j.lhs, env)
-        vb = model.eval_term(j.rhs, env)
-        if va is None or vb is None:
-            return FUEL
-        if va != vb:
-            return no(f"the sides evaluate to {va} and {vb}")
-        return model.contains((j.ty, env), va)
-    raise TypeError(f"not a judgment: {j!r}")
+    *terms, ty = sides
+    vals = [model.value(t, env) for t in terms]
+    if None in vals:
+        return FUEL
+    if vals[0] != vals[-1]:
+        return no(f"the sides evaluate to {vals[0]} and {vals[-1]}")
+    return model.contains((ty, env), vals[0])
 
 
 def validate_judgment(j: Judgment, stage: int = DEFAULT_STAGE,
@@ -767,10 +768,15 @@ def validate_judgment(j: Judgment, stage: int = DEFAULT_STAGE,
     envs, exact = got
     if not envs:
         return SAMPLING
+    if isinstance(j, TypeEq):           # compiled once, not once per env
+        sides = compile_type(j.lhs), compile_type(j.rhs)
+    else:                               # the terms, then the type
+        terms = [j.term] if isinstance(j, TermOf) else [j.lhs, j.rhs]
+        sides = *map(interpret_term, terms), compile_type(j.ty)
     parts = []
     for env in envs:
         try:
-            parts.append(_validate_in_env(model, j, env))
+            parts.append(_validate_in_env(model, j, sides, env))
         except Diverged:
             parts.append(FUEL)
     return sampled(parts, exact)
@@ -801,7 +807,7 @@ def cover_fixpoint(s: int, i: int, c: int, v: int, k: int,
 
 def check_realizer(r: int, ty: PreTerm, k: int = DEFAULT_STAGE,
                    fuel: int = DEFAULT_FUEL, bound: int = DEFAULT_BOUND) -> Tri:
-    return Model(stage=k, fuel=fuel, bound=bound).contains((ty, {}), r)
+    return Model(stage=k, fuel=fuel, bound=bound).contains((compile_type(ty), {}), r)
 
 
 def realize(t: PreTerm, fuel: int = DEFAULT_FUEL) -> int | KTerm:

@@ -442,12 +442,6 @@ def close_over(t: PreTerm, names: tuple[str, ...]) -> PreTerm:
                 if type(s) is FVar and s.name in pos else None)
 
 
-def open_with(body: PreTerm, hints: tuple[str, ...]) -> tuple[tuple[str, ...], PreTerm]:
-    """Open a binder body with fresh free variables; returns (names, opened body)."""
-    names = tuple(fresh_name(h) for h in hints)
-    return names, instantiate(body, tuple(FVar(n) for n in names))
-
-
 def substitute(t: PreTerm, name: str, u: PreTerm) -> PreTerm:
     """Capture-avoiding substitution of u for the free variable name in t."""
     return _map(t, lambda s, _: u if type(s) is FVar and s.name == name else None)
@@ -458,8 +452,16 @@ def free_vars(t: PreTerm) -> frozenset[str]:
 
 
 def alpha_eq(t: PreTerm, u: PreTerm) -> bool:
-    """Alpha-equivalence is structural equality in the locally nameless tree."""
-    return t == u
+    """Alpha-equivalence is structural equality in the locally nameless tree:
+    t == u, compared with an explicit stack so that deep terms do not recurse."""
+    todo = [(t, u)]
+    while todo:
+        a, b = todo.pop()
+        if a is not b:
+            if type(a) is not type(b) or type(a) in (FVar, BVar) and a != b:
+                return False
+            todo += [(getattr(a, f), getattr(b, f)) for f, _ in _SIG[type(a)]]
+    return True
 
 
 def abstract_out(t: PreTerm, sub: PreTerm, name: str) -> PreTerm:

@@ -76,3 +76,34 @@ def test_every_test_helper_the_benchmark_reads_resolves():
     acc = importlib.import_module("test_acceptance")
     for name in used:
         assert callable(getattr(acc, name, None)), name
+
+
+def test_every_public_helper_has_a_caller():
+    """A public top-level def or class of src/covtt is named somewhere other
+    than its own definition: in src/, tests/ or perfbench/.  A name counts
+    where it is read, imported, or written as a string, as perfbench's
+    boundary table writes the names it patches."""
+    root = SRC.parent.parent
+    defined, named = {}, set()
+    for path in sorted([*root.glob("src/covtt/*.py"), *root.glob("tests/*.py"),
+                        *root.glob("perfbench/*.py")]):
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            owner = getattr(stmt, "name", None)     # a def or a class
+            if path.parent == SRC and owner and not owner.startswith("_"):
+                defined[owner] = path.name
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name):
+                    names = [node.id]
+                elif isinstance(node, ast.Attribute):
+                    names = [node.attr]
+                elif isinstance(node, ast.alias):
+                    names = [node.name]
+                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    names = node.value.split(".")
+                else:
+                    continue
+                named.update(n for n in names if n != owner)
+    assert defined
+    unused = sorted((module, name) for name, module in defined.items()
+                    if name not in named)
+    assert unused == []

@@ -1,5 +1,8 @@
+import io
+
 import pytest
 
+from covtt import cli
 from covtt.kernel import (
     CheckResult, check_context, check_eq_term, check_eq_type,
     check_judgment, check_term, whnf, whnf_step,
@@ -351,6 +354,16 @@ def test_numerals_check_without_recursion():
     assert r.reason == "argument of succ: " * 3 + _UNIFY + "N1 and N differ"
     r = bad("term [] |- refl(succ(star)) : Id(N, 1, 1)", "Id-I")
     assert r.reason == "reflected term: argument of succ: star against N"
+
+
+def test_binder_bodies_compare_without_recursion(tmp_path):
+    # a deep numeral under a binder: the bodies are compared in a loop
+    f = tmp_path / "deep.judg"
+    f.write_text("termeq [] |- lam x . 25000 == lam x . 25000 : N -> N\n")
+    out = io.StringIO()
+    assert cli.main(["check", str(f)], out=out) == 0
+    assert out.getvalue() == "1: accepted\n"
+    bad("termeq [] |- lam x . 25000 == lam x . 25001 : N -> N", "xi")
 
 
 def test_grammar_doc_lists_the_formation_premises():

@@ -6,14 +6,16 @@ from test_acceptance import _gen_set_code
 
 from covtt import kleene as K
 from covtt import realizability as R
+from covtt import syntax as S
 from covtt.kernel import check_judgment
 from covtt.kleene import (
     Diverged, apply, apply_many, code, eval_kterm, kop, pair,
 )
 from covtt.realizability import (
-    CYCLE, Model, N0_CODE, N1_CODE, N_CODE, check_realizer, cov_code,
-    cover_fixpoint, ct_validate, decode_set, interpret_term, mem_at_stage,
-    realize, rf_code, set_at_stage, tr_code, validate, validate_judgment,
+    CYCLE, Model, N0_CODE, N1_CODE, N_CODE, check_realizer, compile_type,
+    cov_code, cover_fixpoint, ct_validate, decode_set, interpret_term,
+    mem_at_stage, realize, rf_code, set_at_stage, tr_code, validate,
+    validate_judgment,
 )
 from covtt.syntax import (
     SyntaxError_, parse_file, parse_judgment, parse_term, parse_type, substitute,
@@ -514,6 +516,10 @@ _TARSKI = [
     ("Pi x : N1 . N", "pihat(n1hat, lam x . nhat)"),
     ("Pi x : Sum(N1, N1) . Id(Sum(N1, N1), x, x)",
      "pihat(plushat(n1hat, n1hat), lam x . idhat(plushat(n1hat, n1hat), x, x))"),
+    # two compiled binders, the inner one read in the outer one's environment
+    ("Pi x : Sum(N1, N1) . Sigma y : N1 . Id(Sum(N1, N1), x, x)",
+     "pihat(plushat(n1hat, n1hat), lam x . sigmahat(n1hat, "
+     "lam y . idhat(plushat(n1hat, n1hat), x, x)))"),
     ("Sum(N0, N1)", "plushat(n0hat, n1hat)"),
     ("List(N1)", "listhat(n1hat)"),
     ("List(Sum(N1, N))", "listhat(plushat(n1hat, nhat))"),
@@ -527,7 +533,8 @@ _TARSKI = [
 def test_pretype_and_its_code_agree(ty_src, code_src):
     # T(a) is the set the code a stands for: both sources go through the same
     # clauses and must agree on every verdict (reason texts may differ)
-    srcs = [(parse_type(ty_src), {}), (parse_type(f"T({code_src})"), {})]
+    srcs = [(compile_type(parse_type(ty_src)), {}),
+            (compile_type(parse_type(f"T({code_src})")), {})]
     xs = [*range(64), *(pair(a, b) for a in range(5) for b in range(5)),
           *(K.enc_list(xs) for xs in ([0], [1], [0, 0], [pair(1, 3)], [2, 0]))]
     for x in xs:
@@ -573,6 +580,29 @@ def test_validate_judgments():
     r = validate(parse_judgment("typeeq [] |- T(n1hat) == N1"))
     assert r.kind == "yes"                      # finite carriers are exact
     assert validate(parse_judgment("typeeq [] |- N1 == N0")).kind == "no"
+
+
+def test_each_pretype_is_compiled_once(corpus_dir, monkeypatch):
+    # validation opens no binder and rebuilds no tree: a pretype is compiled
+    # once per judgment, before any environment is sampled
+    golden = dict(parse_file((corpus_dir / "golden.judg").read_text()))
+    rebuilds = []
+    real_map = S._map
+    monkeypatch.setattr(S, "_map", lambda *a: rebuilds.append(a) or real_map(*a))
+    for j in golden.values():
+        validate(j)
+    assert rebuilds == []
+    # nor is a term interpreted once per environment or per candidate
+    calls = []
+    real_interpret = R.interpret_term
+    monkeypatch.setattr(R, "interpret_term",
+                        lambda *a: calls.append(a) or real_interpret(*a))
+    counts = []
+    for bound in (8, 64):
+        calls.clear()
+        validate(golden[72], bound=bound)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
 
 
 def test_deep_numerals_interpret_in_a_loop():

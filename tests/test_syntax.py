@@ -133,6 +133,17 @@ def test_alpha_eq_renaming():
         ca = parse_term(ctx.format("lam x . Ap(x, u)"))
         cb = parse_term(ctx.format("lam y . Ap(y, u)"))
         assert alpha_eq(ca, cb), ctx
+    # the walk answers as the dataclasses' == does, and keeps a stack, so
+    # deep terms, where == would recurse past the limit, compare too
+    terms = [parse_term(src) for src in (
+        "lam x . x", "lam y . y", "lam x . u", "pair(u, 1)", "pair(v, 1)",
+        "pair(u, succ(0))", "inl(u)", "inr(u)", "natrec(n; 0; k r . succ(r))",
+        "natrec(n; 0; k r . succ(k))")]
+    for a in terms:
+        assert [alpha_eq(a, b) for b in terms] == [a == b for b in terms], a
+    deep = parse_term("lam x . 25000")
+    assert alpha_eq(deep, parse_term("lam y . 25000"))
+    assert not alpha_eq(deep, parse_term("lam x . 25001"))
 
 
 def test_substitute():
