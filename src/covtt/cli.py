@@ -125,12 +125,12 @@ def cmd_cover(args, out) -> int:
         covered = elem in sat
         if not covered:
             failures += 1
-        listing = " ".join(sorted(map(str, sat)))
+        listing = sorted(map(str, sat))
         _emit(out, {"query": f"{elem} <| {' '.join(sorted(map(str, v)))}",
                     "verdict": "covered" if covered else "not-covered",
-                    "saturation": sorted(map(str, sat)),
+                    "saturation": listing,
                     "text": f"{'covered' if covered else 'not-covered'}: "
-                            f"{elem}  saturation = {{{listing}}}"},
+                            f"{elem}  saturation = {{{' '.join(listing)}}}"},
               args.structured)
     return EXIT_FAIL if failures else EXIT_OK
 

@@ -3,10 +3,11 @@
 An axiom set is a finite carrier A with, for each a in A, a finite index set
 I(a) and, for each index j, a covering subset C(a, j) of A.  Saturation
 computes the least subset containing V and closed under: a enters whenever
-some C(a, j) is already contained.  On top of that sit the quotient and
-equivalence-relation transforms, the well-founded-part encoding, bounded
-tree topologies, and the exact-rational derivation checker for the real-line
-cover.
+some C(a, j) is already contained.  An axiom set is compiled once, when it
+is built, so each saturation costs time in proportion to the instances it
+touches.  On top of that sit the quotient and equivalence-relation
+transforms, the well-founded-part encoding, bounded tree topologies, and
+the exact-rational derivation checker for the real-line cover.
 """
 
 from __future__ import annotations
@@ -18,6 +19,8 @@ from fractions import Fraction
 
 @dataclass
 class FiniteAxiomSet:
+    """An axiom set is fixed once it is built: __post_init__ compiles it for
+    saturate, so index and cover must not change afterwards."""
     carrier: frozenset
     index: dict          # elem -> frozenset of index labels
     cover: dict          # (elem, index) -> frozenset of elems
@@ -28,46 +31,43 @@ class FiniteAxiomSet:
         self.cover = {k: frozenset(v) for k, v in self.cover.items()}
         for a in self.carrier:
             self.index.setdefault(a, frozenset())
+        instances: dict = {}            # distinct (head, body) -> number
         for a, js in self.index.items():
             if a not in self.carrier:
                 raise ValueError(f"index family mentions {a!r} outside the carrier")
             for j in js:
                 if (a, j) not in self.cover:
                     raise ValueError(f"no covering subset for ({a!r}, {j!r})")
-                if not self.cover[(a, j)] <= self.carrier:
+                body = self.cover[(a, j)]
+                if not body <= self.carrier:
                     raise ValueError(f"C({a!r}, {j!r}) leaves the carrier")
+                instances.setdefault((a, body), len(instances))
+        # per instance its head and member count; per member its watchers
+        self._heads = [a for a, _ in instances]
+        self._counts = [len(body) for _, body in instances]
+        self._watchers: dict = {a: [] for a in self.carrier}
+        for i, (_, body) in enumerate(instances):
+            for y in body:
+                self._watchers[y].append(i)
+        self._free = frozenset(a for a, body in instances if not body)
 
 
 def saturate(ax: FiniteAxiomSet, v: frozenset) -> frozenset:
-    """The closure Cov(V): least superset of V closed under the axioms."""
+    """The closure Cov(V): least superset of V closed under the axioms.
+
+    Each element is queued once and counts down the instances waiting on it."""
     v = frozenset(v)
     if not v <= ax.carrier:
         raise ValueError("V leaves the carrier")
-    result = set(v)
-    # worklist over axiom instances, counting missing members
-    missing = {}
-    watchers: dict = {a: [] for a in ax.carrier}
-    queue = list(v)
-    for a in ax.carrier:
-        for j in ax.index[a]:
-            body = ax.cover[(a, j)]
-            outstanding = {y for y in body if y not in result}
-            missing[(a, j)] = len(outstanding)
-            for y in outstanding:
-                watchers[y].append((a, j))
-            if not outstanding and a not in result:
-                result.add(a)
-                queue.append(a)
+    result = set(v | ax._free)
+    queue = list(result)
+    missing = ax._counts.copy()
     while queue:
-        y = queue.pop()
-        for key in watchers[y]:
-            missing[key] -= 1
-            if missing[key] == 0:
-                a = key[0]
-                if a not in result:
-                    result.add(a)
-                    queue.append(a)
-        watchers[y] = []
+        for i in ax._watchers[queue.pop()]:
+            missing[i] -= 1
+            if not missing[i] and ax._heads[i] not in result:
+                result.add(ax._heads[i])
+                queue.append(ax._heads[i])
     return frozenset(result)
 
 
@@ -94,10 +94,11 @@ def check_induction_minimality(ax: FiniteAxiomSet, v: frozenset,
     elems = sorted(ax.carrier, key=repr)
     if len(elems) > bound:
         raise ValueError(f"carrier size {len(elems)} exceeds the bound {bound}")
+    v = frozenset(v)
     sat = saturate(ax, v)
     for bits in itertools.product((False, True), repeat=len(elems)):
         p = frozenset(e for e, b in zip(elems, bits) if b)
-        if cont(ax, frozenset(v), p) and not sat <= p:
+        if cont(ax, v, p) and not sat <= p:
             return False
     return True
 
@@ -222,10 +223,12 @@ def wp_axiom_set(rel: frozenset, carrier: frozenset) -> FiniteAxiomSet:
     predecessors already are.
     """
     carrier = frozenset(carrier)
+    preds: dict = {x: set() for x in carrier}
     for z, x in rel:
         if z not in carrier or x not in carrier:
             raise ValueError("the relation leaves the carrier")
-    preds = {x: frozenset(z for z, x2 in rel if x2 == x) for x in carrier}
+        preds[x].add(z)
+    preds = {x: frozenset(zs) for x, zs in preds.items()}
     index = {x: carrier for x in carrier}
     cover = {(x, y): preds[x] for x in carrier for y in carrier}
     return FiniteAxiomSet(carrier, index, cover)
@@ -348,7 +351,7 @@ class SchemaError(Exception):
 
 def parse_axiom_file(text: str) -> tuple[FiniteAxiomSet, list[tuple]]:
     """Parse the cover schema: carrier, index, cover, and query lines."""
-    carrier: list[str] = []
+    carrier: set[str] = set()
     index: dict = {}
     cover: dict = {}
     queries: list[tuple] = []
@@ -359,7 +362,7 @@ def parse_axiom_file(text: str) -> tuple[FiniteAxiomSet, list[tuple]]:
         words = line.split()
         kind, rest = words[0], words[1:]
         if kind == "carrier":
-            carrier.extend(rest)
+            carrier.update(rest)
         elif kind == "index":
             if len(rest) < 2 or rest[1] != ":":
                 raise SchemaError("expected 'index ELEM : J...'", lineno)
@@ -406,7 +409,7 @@ def parse_query(words: list[str], carrier, lineno: int = 0) -> tuple:
 
 def parse_relation_file(text: str) -> tuple[frozenset, frozenset]:
     """Parse the relation schema: carrier and 'rel Z X' lines (Z below X)."""
-    carrier: list[str] = []
+    carrier: set[str] = set()
     rel: set[tuple] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -414,7 +417,7 @@ def parse_relation_file(text: str) -> tuple[frozenset, frozenset]:
             continue
         words = line.split()
         if words[0] == "carrier":
-            carrier.extend(words[1:])
+            carrier.update(words[1:])
         elif words[0] == "rel":
             if len(words) != 3:
                 raise SchemaError("expected 'rel Z X'", lineno)

@@ -470,7 +470,8 @@ def abstract_out(t: PreTerm, sub: PreTerm, name: str) -> PreTerm:
     sub must be locally closed; occurrences under binders are still found
     because indices inside them are self-contained.
     """
-    return _map(t, lambda s, _: FVar(name) if s == sub else None)
+    return _map(t, lambda s, _: FVar(name) if type(s) is type(sub)
+                and alpha_eq(s, sub) else None)
 
 
 def pi_(name: str, dom: PreTerm, cod: PreTerm) -> TPi:

@@ -50,6 +50,11 @@ def _cases() -> dict[str, list[str]]:
                                      "--format", "structured"],
         "cover_cantor2_empty_query": ["cover", str(CORPUS / "cantor2.cover"),
                                       "--query", "e <|"],
+        "cover_cantor2_unknown_query": ["cover", str(CORPUS / "cantor2.cover"),
+                                        "--query", "e <| l2"],
+        "cover_bad_member": ["cover", str(DATA / "bad.cover")],
+        "cover_tree4_structured": ["cover", str(DATA / "tree4.cover"),
+                                   "--format", "structured"],
         "wp_wp3": ["wp", str(CORPUS / "wp3.rel")],
         "wp_wp3_structured": ["wp", str(CORPUS / "wp3.rel"),
                               "--format", "structured"],

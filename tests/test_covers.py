@@ -96,6 +96,34 @@ def test_saturate_agrees_with_derivation_search():
             assert saturate(ax, v) == derivation_set(ax, v)
 
 
+def test_one_axiom_set_answers_many_queries():
+    # one compiled set serves queries in any order, as a fresh copy would
+    rng = random.Random(53)
+    for _ in range(25):
+        n = rng.randrange(2, 6)
+        elems = range(n)
+        ax = random_axiom_set(rng, elems)
+        index = {a: set(js) for a, js in ax.index.items()}
+        cover = dict(ax.cover)
+        free, loop, twice = (rng.randrange(n) for _ in range(3))
+        # an empty body; an element in its own body; one body, two indices
+        index[free].add("nil")
+        cover[(free, "nil")] = frozenset()
+        index[loop].add("loop")
+        cover[(loop, "loop")] = frozenset(rng.sample(elems, rng.randrange(n))) | {loop}
+        body = frozenset(rng.sample(elems, rng.randrange(1, n + 1))) | {free}
+        for j in ("dup0", "dup1"):
+            index[twice].add(j)
+            cover[(twice, j)] = body
+        ax = FiniteAxiomSet(frozenset(elems), index, cover)
+        queries = [frozenset(rng.sample(elems, rng.randrange(n + 1)))
+                   for _ in range(28)] + [frozenset({free}), frozenset(elems)]
+        rng.shuffle(queries)
+        for v in queries:
+            fresh = FiniteAxiomSet(ax.carrier, ax.index, ax.cover)
+            assert saturate(ax, v) == derivation_set(ax, v) == saturate(fresh, v)
+
+
 def test_is_covered_errors_outside_carrier():
     ax = random_axiom_set(random.Random(1), range(3))
     with pytest.raises(ValueError):

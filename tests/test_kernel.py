@@ -366,6 +366,15 @@ def test_binder_bodies_compare_without_recursion(tmp_path):
     bad("termeq [] |- lam x . 25000 == lam x . 25001 : N -> N", "xi")
 
 
+def test_motive_abstraction_without_recursion(tmp_path):
+    # the eliminator's motive abstracts two deep endpoints out of its type
+    f = tmp_path / "deep.judg"
+    f.write_text("term [] |- idpeel(refl(25000); x . refl(x)) : Id(N, 25000, 25000)\n")
+    out = io.StringIO()
+    assert cli.main(["check", str(f)], out=out) == 0
+    assert out.getvalue() == "1: accepted\n"
+
+
 def test_grammar_doc_lists_the_formation_premises():
     import re
     from pathlib import Path
