@@ -14,7 +14,10 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import re
+import threading
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 
 class SyntaxError_(Exception):
@@ -482,11 +485,21 @@ def arrow(dom: PreTerm, cod: PreTerm) -> TPi:
     return TPi(dom, cod, "_")           # cod must not mention the variable
 
 
+# _NUMERALS[n] is numeral n: one Succ chain, grown on demand under the lock
+_NUMERALS: list[PreTerm] = [Zero()]
+_NUMERALS_GROW = threading.Lock()
+
+
 def numeral(n: int) -> PreTerm:
-    t: PreTerm = Zero()
-    for _ in range(n):
-        t = Succ(t)
-    return t
+    """The numeral n >= 0.  Every numeral is a suffix of one shared chain, so
+    equal numerals are one object and == on them stops at once."""
+    if n >= len(_NUMERALS):
+        with _NUMERALS_GROW:
+            t = _NUMERALS[-1]
+            for _ in range(len(_NUMERALS), n + 1):
+                t = Succ(t)
+                _NUMERALS.append(t)
+    return _NUMERALS[n]
 
 
 def as_numeral(t: PreTerm) -> int | None:
@@ -566,66 +579,40 @@ class CtDirective:
 # Lexer
 # ---------------------------------------------------------------------------
 
-_PUNCT2 = ("|-", "==", "->")
-_PUNCT1 = "()[],;:.+"
+# One alternative per token kind, tried in order; blanks and comments match
+# no named group.  \d is str.isdecimal and \w is str.isalnum or "_".
+_TOKEN = re.compile(r"(?P<nl>\n)|[ \t\r]+|#.*|(?P<punct>\|-|==|->|[()\[\],;:.+])"
+                    r"|(?P<num>\d+)|(?P<ident>\w+)|(?P<bad>.)")
 
 
-@dataclass(frozen=True)
-class _Tok:
-    kind: str                           # ident | num | punct | eof
-    text: str
-    line: int
-    col: int
+class _Tok(tuple):
+    """(kind, text, line, col); kind is ident | num | punct | eof."""
+
+    __slots__ = ()
+    kind = property(itemgetter(0))
+    text = property(itemgetter(1))
+    line = property(itemgetter(2))
+    col = property(itemgetter(3))
 
 
 def _lex(src: str) -> list[_Tok]:
     toks: list[_Tok] = []
-    line, col, i = 1, 1, 0
-    n = len(src)
-    while i < n:
-        ch = src[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
+    line, bol = 1, 0                    # bol: where the current line begins
+    for m in _TOKEN.finditer(src):
+        kind = m.lastgroup
+        if kind is None:
             continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
+        if kind == "nl":
+            line, bol = line + 1, m.end()
             continue
-        if ch == "#":
-            while i < n and src[i] != "\n":
-                i += 1
-            continue
-        two = src[i:i + 2]
-        if two in _PUNCT2:
-            toks.append(_Tok("punct", two, line, col))
-            i += 2
-            col += 2
-            continue
-        if ch in _PUNCT1:
-            toks.append(_Tok("punct", ch, line, col))
-            i += 1
-            col += 1
-            continue
-        if ch.isdecimal():
-            j = i
-            while j < n and src[j].isdecimal():
-                j += 1
-            toks.append(_Tok("num", src[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (src[j].isalnum() or src[j] == "_"):
-                j += 1
-            toks.append(_Tok("ident", src[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        raise SyntaxError_(f"unexpected character {ch!r}", line, col)
-    toks.append(_Tok("eof", "", line, col))
+        text, col = m.group(), m.start() - bol + 1
+        # an identifier starts with a letter or "_", not with a \w like "²"
+        if kind == "bad" or kind == "ident" and not (text[0].isalpha() or text[0] == "_"):
+            raise SyntaxError_(f"unexpected character {text[0]!r}", line, col)
+        toks.append(_Tok((kind, text, line, col)))
+    # a comment runs to the end of its line and does not advance the column
+    end = src.find("#", bol)
+    toks.append(_Tok(("eof", "", line, (len(src) if end < 0 else end) - bol + 1)))
     return toks
 
 
@@ -853,25 +840,23 @@ class _Parser:
             raise SyntaxError_(f"trailing input {t.text!r}", t.line, t.col)
 
 
-def parse_term(src: str, declared: set[str] | None = None) -> PreTerm:
-    p = _Parser(_lex(src), declared)
-    t = p.term()
+def _parse(toks: list[_Tok], rule, declared: set[str] | None):
+    p = _Parser(toks, declared)
+    t = rule(p)
     p.done()
     return t
+
+
+def parse_term(src: str, declared: set[str] | None = None) -> PreTerm:
+    return _parse(_lex(src), _Parser.term, declared)
 
 
 def parse_type(src: str, declared: set[str] | None = None) -> PreTerm:
-    p = _Parser(_lex(src), declared)
-    t = p.type_()
-    p.done()
-    return t
+    return _parse(_lex(src), _Parser.type_, declared)
 
 
 def parse_judgment(src: str) -> Judgment | CtDirective:
-    p = _Parser(_lex(src), set())
-    j = p.judgment()
-    p.done()
-    return j
+    return _parse(_lex(src), _Parser.judgment, set())
 
 
 def parse(src: str) -> PreTerm | Judgment | CtDirective:
@@ -879,32 +864,34 @@ def parse(src: str) -> PreTerm | Judgment | CtDirective:
     toks = _lex(src)
     head = toks[0]
     if head.kind == "ident" and head.text in JUDGMENT_KEYWORDS:
-        return parse_judgment(src)
+        return _parse(toks, _Parser.judgment, set())
     if head.kind == "ident" and head.text in TYPE_KEYWORDS:
-        return parse_type(src)
+        return _parse(toks, _Parser.type_, None)
     if head.text == "(":
         # parenthesized: try term first, then type
         try:
-            return parse_term(src)
+            return _parse(toks, _Parser.term, None)
         except SyntaxError_ as term_err:
             try:
-                return parse_type(src)
+                return _parse(toks, _Parser.type_, None)
             except SyntaxError_:
                 raise term_err from None
-    return parse_term(src)
+    return _parse(toks, _Parser.term, None)
 
 
 def parse_file(text: str) -> list[tuple[int, Judgment | CtDirective]]:
     """Parse a line-oriented judgment file; '#' comments and blank lines skipped."""
     out: list[tuple[int, Judgment | CtDirective]] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.split("#", 1)[0].strip()
+        code = line.split("#", 1)[0]
+        stripped = code.strip()
         if not stripped:
             continue
         try:
             out.append((lineno, parse_judgment(stripped)))
         except SyntaxError_ as e:
-            raise SyntaxError_(e.msg, lineno, e.col) from None
+            indent = len(code) - len(code.lstrip())
+            raise SyntaxError_(e.msg, lineno, e.col + indent) from None
     return out
 
 

@@ -36,6 +36,7 @@ def _cases() -> dict[str, list[str]]:
         "check_fuel_structured": ["check", str(DATA / "fuel.judg"),
                                   "--fuel", "50", "--format", "structured"],
         "check_syntax_error": ["check", str(DATA / "bad.judg")],
+        "check_indented_syntax_error": ["check", str(DATA / "indented.judg")],
         "check_types": ["check", str(DATA / "types.judg")],
         "verify_types_structured": ["verify", str(DATA / "types.judg"),
                                     "--format", "structured"],

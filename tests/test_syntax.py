@@ -312,3 +312,127 @@ def test_grammar_doc_lists_the_bracketed_formers():
         parts = [w for token, is_type in marks
                  for w in (token, "TYPE" if is_type else "TERM")]
         assert lines[kw] == [kw, "CTX", *parts]
+
+
+def _reference_lex(src):
+    """The character-at-a-time lexer that syntax._lex replaced, kept as the
+    reference that its tokens and errors are compared against."""
+    toks = []
+    line, col, i = 1, 1, 0
+    n = len(src)
+    while i < n:
+        ch = src[i]
+        if ch == "\n":
+            line += 1
+            col = 1
+            i += 1
+            continue
+        if ch in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if ch == "#":
+            while i < n and src[i] != "\n":
+                i += 1
+            continue
+        two = src[i:i + 2]
+        if two in ("|-", "==", "->"):
+            toks.append(("punct", two, line, col))
+            i += 2
+            col += 2
+            continue
+        if ch in "()[],;:.+":
+            toks.append(("punct", ch, line, col))
+            i += 1
+            col += 1
+            continue
+        if ch.isdecimal():
+            j = i
+            while j < n and src[j].isdecimal():
+                j += 1
+            toks.append(("num", src[i:j], line, col))
+            col += j - i
+            i = j
+            continue
+        if ch.isalpha() or ch == "_":
+            j = i
+            while j < n and (src[j].isalnum() or src[j] == "_"):
+                j += 1
+            toks.append(("ident", src[i:j], line, col))
+            col += j - i
+            i = j
+            continue
+        raise SyntaxError_(f"unexpected character {ch!r}", line, col)
+    toks.append(("eof", "", line, col))
+    return toks
+
+
+def _lex_outcome(lex, src):
+    try:
+        return [tuple(t) for t in lex(src)]
+    except SyntaxError_ as e:
+        return (e.msg, e.line, e.col)
+
+
+def test_lexer_matches_the_reference():
+    import string
+    from covtt.syntax import _lex
+    # superscript two (a digit, not decimal), roman twelve (numeric), Arabic
+    # three (decimal), a combining accent, a vertical tab, a no-break space
+    odd = ["\u00b2", "\u216b", "\u0663", "\u0301", "\x0b", "\xa0", "\u00e9"]
+    alphabet = (list("ab_xZ019") + odd + ["\t", "\r", "\n", " ", "#"]
+                + list(string.punctuation) + ["|-", "==", "->"])
+    rng = random.Random(15)
+    for _ in range(20000):
+        src = "".join(rng.choice(alphabet) for _ in range(rng.randrange(12)))
+        assert _lex_outcome(_lex, src) == _lex_outcome(_reference_lex, src), src
+    tok = _lex("a # b\n  9")[1]
+    assert (tok.kind, tok.text, tok.line, tok.col) == ("num", "9", 2, 3)
+
+
+def test_numerals_share_one_chain():
+    assert numeral(7) is numeral(7)
+    assert numeral(7).arg is numeral(6)
+    assert parse_term("19000") == parse_term("19000")
+
+
+def test_numerals_grow_under_a_lock():
+    import sys
+    import threading
+    from covtt import syntax
+    from covtt.syntax import as_numeral
+    base = len(syntax._NUMERALS)
+    wanted = [base + 3000 * (k + 1) + k for k in range(4)]
+    got = {}
+    start = threading.Barrier(len(wanted))
+
+    def work(n):
+        start.wait()
+        got[n] = as_numeral(parse_term(str(n)))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(n,)) for n in wanted]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == {n: n for n in wanted}
+    chain = syntax._NUMERALS
+    assert len(chain) == max(wanted) + 1
+    assert all(chain[k + 1].arg is chain[k] for k in range(len(chain) - 1))
+
+
+def test_parse_lexes_once(monkeypatch):
+    from covtt import syntax
+    lexed = []
+    lex = syntax._lex
+    monkeypatch.setattr(syntax, "_lex", lambda src: lexed.append(src) or lex(src))
+    for src in ["(0)", "(N)", "succ(0)", "term [] |- 0 : N"]:
+        lexed.clear()
+        parse(src)
+        assert lexed == [src]
