@@ -228,9 +228,24 @@ def interpret_term(t: PreTerm, names: tuple[str, ...] = ()) -> KTerm:
     return p[0]                         # Lam and Refl
 
 
+class Open:
+    """A compiled application: its KTerm and free variables.  It hashes by
+    identity, so a memo key holding it is cheap and keeps it alive."""
+    __slots__ = ("kt", "names")
+
+    def __init__(self, kt: tuple):
+        self.kt, self.names = kt, K.kvars(kt)
+
+
+def _compile_term(t: PreTerm, names: tuple[str, ...]) -> KTerm | Open:
+    """An Id endpoint or T code; only an application takes steps to run."""
+    kt = interpret_term(t, names)
+    return Open(kt) if type(kt) is tuple else kt
+
+
 def compile_type(ty: PreTerm, names: tuple[str, ...] = ()) -> tuple:
     """The pretype as the tree Model._view reads, made once per judgment: a
-    sigma or pi is (kind, dom, cod, y), an Id endpoint or T code a KTerm."""
+    sigma or pi is (kind, dom, cod, y), an Id endpoint or T code compiled."""
     cls = type(ty)
     if cls is TSigma or cls is TPi:
         y = fresh_name(ty.hint)
@@ -241,10 +256,10 @@ def compile_type(ty: PreTerm, names: tuple[str, ...] = ()) -> tuple:
     if cls is TList:
         return "list", compile_type(ty.elem, names)
     if cls is TId:
-        return ("Id", compile_type(ty.ty, names), interpret_term(ty.lhs, names),
-                interpret_term(ty.rhs, names))
+        return ("Id", compile_type(ty.ty, names), _compile_term(ty.lhs, names),
+                _compile_term(ty.rhs, names))
     if cls is TDec:
-        return "T", interpret_term(ty.code, names)
+        return "T", _compile_term(ty.code, names)
     if cls in _ATOMIC_TYPES:
         return _ATOMIC_TYPES[cls]
     raise ValueError(f"not a pretype: {to_src(ty)}")
@@ -269,28 +284,39 @@ class Model:
         self._members_memo: dict = {}
         self._cover_memo: dict = {}
         self._apply_memo: dict = {}     # (e, *args) -> (result, steps)
+        self._open_memo: dict = {}      # (Open, *its values) -> (result, steps)
 
     # -- machine helpers ----------------------------------------------------
 
-    def apply(self, e: int, *args: int) -> int | None:
-        """{e}(args), or None when the budget runs out.  A run this Model
-        made before is charged its exact step count instead of run again."""
+    def _run(self, memo: dict, key: tuple, run, args: tuple) -> int | None:
+        """run(*args) on the budget, or None when it runs out.  A run this
+        Model made before under key is charged its exact step count instead."""
         budget = self.budget
-        key = (e, *args)
         try:
-            hit = self._apply_memo.get(key)
+            hit = memo.get(key)
             if hit is not None:
                 budget.charge(hit[1])
                 return hit[0]
             before = budget.steps
-            r = K.apply_many(e, *args, budget=budget)
+            r = run(*args, budget=budget)
         except Diverged:
             return None
-        if len(self._apply_memo) < _APPLY_CAP and r.bit_length() <= _APPLY_BITS:
-            self._apply_memo[key] = (r, before - budget.steps)
+        if len(memo) < _APPLY_CAP and r.bit_length() <= _APPLY_BITS:
+            memo[key] = (r, before - budget.steps)
         return r
 
-    def value(self, kt: KTerm, env: dict[str, int]) -> int | None:
+    def apply(self, e: int, *args: int) -> int | None:
+        """{e}(args), or None when the budget runs out."""
+        key = (e, *args)
+        return self._run(self._apply_memo, key, K.apply_many, key)
+
+    def value(self, kt: KTerm | Open, env: dict[str, int]) -> int | None:
+        """kt in env, or None when the budget runs out.  An Open runs once per
+        values of its variables, which alone fix its value and steps; an
+        unbound one keys as None, and its run fails before it can be kept."""
+        if type(kt) is Open:
+            key = (kt, *map(env.get, kt.names))
+            return self._run(self._open_memo, key, eval_kterm, (kt.kt, env))
         try:
             return eval_kterm(kt, env, self.budget)
         except Diverged:

@@ -733,9 +733,12 @@ class _Parser:
         while self.peek().text == "succ" and self.toks[self.pos + 1].text == "(":
             self.pos, n = self.pos + 2, n + 1
         if n:
-            tm = self.term()
+            lit, tm = self.peek(), self.term()
             for _ in range(n):
                 self.expect(")")
+            if lit.kind == "num":       # around a literal: the shared numeral
+                return numeral(int(lit.text) + n)
+            for _ in range(n):
                 tm = Succ(tm)
             return tm
         t = self.peek()

@@ -377,10 +377,16 @@ def _verify_lines(monkeypatch, paths, **flags):
 
 
 def test_apply_memo_changes_no_verdict_or_budget(corpus_dir, monkeypatch):
-    golden = [corpus_dir / "golden.judg"]
-    memo_on = _verify_lines(monkeypatch, golden)
-    monkeypatch.setattr(R, "_APPLY_CAP", 0)
-    assert _verify_lines(monkeypatch, golden) == memo_on
+    # the application memo and the compiled-term memo, on and bypassed, at
+    # the default flags and at every flag set of VERIFY_SHA256
+    paths = [corpus_dir / name for name in ("golden.judg", "ct.judg", "xi.judg")]
+    cap = R._APPLY_CAP
+    for flags in [{}, *[dict(zip(("stage", "bound", "fuel"), key))
+                        for key in sorted(VERIFY_SHA256)]]:
+        monkeypatch.setattr(R, "_APPLY_CAP", cap)
+        memo_on = _verify_lines(monkeypatch, paths, **flags)
+        monkeypatch.setattr(R, "_APPLY_CAP", 0)
+        assert _verify_lines(monkeypatch, paths, **flags) == memo_on, flags
 
 
 def test_apply_memo_charges_exact_steps(monkeypatch):
@@ -410,6 +416,80 @@ def test_apply_memo_charges_exact_steps(monkeypatch):
         model.budget.steps = -3
         assert model.apply(e, *args) is None and model.budget.steps == -3
         assert len(runs) == ran + (0 if cap else 3)     # a hit runs nothing
+
+
+def test_open_memo_charges_exact_steps(monkeypatch):
+    runs = []
+    real_eval = R.eval_kterm
+
+    def counting(*args, **kwargs):
+        runs.append(args)
+        return real_eval(*args, **kwargs)
+
+    monkeypatch.setattr(R, "eval_kterm", counting)
+    x, y = S.FVar("x"), S.FVar("y")
+    t = R.Open(interpret_term(S.Ap(S.Ap(x, y), y)))
+    assert t.names == {"x", "y"}
+    env = {"x": K.MULT_CODE, "y": 3}
+    first = Model()
+    r = first.value(t, env)
+    assert r == 9
+    steps = 10 ** 6 - first.budget.steps
+    for cap in (0, R._APPLY_CAP):
+        monkeypatch.setattr(R, "_APPLY_CAP", cap)
+        model = Model()
+        assert model.value(t, env) == r
+        ran = len(runs)
+        # exactly enough fuel: paid to 0; one step short: drained to 0
+        model.budget.steps = steps
+        assert model.value(t, env) == r and model.budget.steps == 0
+        model.budget.steps = steps - 1
+        assert model.value(t, env) is None and model.budget.steps == 0
+        model.budget.steps = -3
+        assert model.value(t, env) is None and model.budget.steps == -3
+        assert len(runs) == ran + (0 if cap else 3)     # a hit runs nothing
+    # the key is the term's own variables' values: others share the entry,
+    # a new value runs anew, and an unbound variable fails as a plain run does
+    model = Model()
+    model.value(t, env)
+    ran = len(runs)
+    assert model.value(t, {**env, "z": 9}) == r and len(runs) == ran
+    assert model.value(t, {**env, "y": 4}) == 16
+    assert len(runs) == ran + 1
+    with pytest.raises(ValueError, match="unbound applicative variable"):
+        model.value(t, {"x": K.MULT_CODE})
+
+
+def test_open_memo_keeps_each_compiled_term_apart():
+    # _sample_envs rebinds one local name to each context entry's compiled
+    # pretype in turn, so a freed tree's id() can come back on the next one
+    model = Model()
+    codes = {c: realize(parse_term(c)) for c in (
+        "plushat(n1hat, n1hat)", "plushat(n0hat, nhat)", "listhat(n1hat)")}
+    for c in list(codes) * 20:
+        ty = compile_type(parse_type(f"T({c})"))
+        assert type(ty[1]) is R.Open
+        assert model.value(ty[1], {}) == codes[c]
+        assert model.elements((ty, {})) == model.members(codes[c], 8)
+        del ty
+
+
+def test_compiled_terms_run_once_per_values(corpus_dir, monkeypatch):
+    # validating golden line 72 ran 36,110 applications, nearly all of them
+    # Id and T leaves over 29 distinct values of their variables (a numeral
+    # or a variable is read in no steps); every run goes through eval_kterm
+    golden = dict(parse_file((corpus_dir / "golden.judg").read_text()))
+    runs = []
+    real_eval = R.eval_kterm
+
+    def counting(t, *args, **kwargs):
+        if type(t) is tuple:
+            runs.append(t)
+        return real_eval(t, *args, **kwargs)
+
+    monkeypatch.setattr(R, "eval_kterm", counting)
+    assert str(validate(golden[72])) == "unknown(sampling)"
+    assert 0 < len(runs) <= 100
 
 
 # (stage, bound, fuel) -> the hash of every verdict, reason and budget left

@@ -396,6 +396,16 @@ def test_numerals_share_one_chain():
     assert parse_term("19000") == parse_term("19000")
 
 
+def test_succ_runs_around_a_literal_share_the_chain():
+    # equal to the literal without recursing: it is the literal's own chain
+    deep = parse_term("succ(" * 19000 + "0" + ")" * 19000)
+    assert deep == parse_term("19000")
+    assert deep is numeral(19000)
+    assert parse_term("succ(succ(3))") is numeral(5)
+    # a run around anything else still builds its own nodes
+    assert parse_term("succ((3))") == numeral(4)
+
+
 def test_numerals_grow_under_a_lock():
     import sys
     import threading
