@@ -306,8 +306,28 @@ class Model:
         return r
 
     def apply(self, e: int, *args: int) -> int | None:
-        """{e}(args), or None when the budget runs out."""
-        key = (e, *args)
+        """{e}(args), or None when the budget runs out.  Leading steps that
+        e's decoding fixes are charged, not run: a K a head takes an argument
+        to a in one tick, and a code that decodes to nothing diverges on its
+        tick.  What is left runs once per key."""
+        n = 0
+        try:
+            while n < len(args):
+                dec = K._decoded(e)
+                if dec is None:
+                    self.budget.charge(n + 1)
+                    return None
+                if dec[0] != K.K or not dec[1]:
+                    break
+                e = dec[1][0]
+                n += 1
+            if n:
+                self.budget.charge(n)
+        except Diverged:
+            return None
+        if n == len(args):
+            return e
+        key = (e, *args[n:])
         return self._run(self._apply_memo, key, K.apply_many, key)
 
     def value(self, kt: KTerm | Open, env: dict[str, int]) -> int | None:

@@ -389,7 +389,8 @@ def test_apply_memo_changes_no_verdict_or_budget(corpus_dir, monkeypatch):
         assert _verify_lines(monkeypatch, paths, **flags) == memo_on, flags
 
 
-def test_apply_memo_charges_exact_steps(monkeypatch):
+def _count_runs(monkeypatch):
+    """The argument tuples of every kleene.apply_many call from now on."""
     runs = []
     real_apply_many = K.apply_many
 
@@ -398,6 +399,11 @@ def test_apply_memo_charges_exact_steps(monkeypatch):
         return real_apply_many(*args, **kwargs)
 
     monkeypatch.setattr(K, "apply_many", counting)
+    return runs
+
+
+def test_apply_memo_charges_exact_steps(monkeypatch):
+    runs = _count_runs(monkeypatch)
     e, args = K.MULT_CODE, (3, 4)
     first = Model()
     r = first.apply(e, *args)
@@ -416,6 +422,71 @@ def test_apply_memo_charges_exact_steps(monkeypatch):
         model.budget.steps = -3
         assert model.apply(e, *args) is None and model.budget.steps == -3
         assert len(runs) == ran + (0 if cap else 3)     # a hit runs nothing
+
+
+def _k(a, times=1):
+    """K a, times over: a code that drops `times` arguments and returns a."""
+    for _ in range(times):
+        a = code(K.K, [a])
+    return a
+
+
+def test_apply_charges_fixed_steps_without_running(monkeypatch):
+    runs = _count_runs(monkeypatch)
+    model = Model()
+    # a K spine: one tick per argument; exactly enough fuel pays it to 0, one
+    # step short drains to 0, and a spent budget stays where it is
+    spine, args = _k(N1_CODE, 3), (5, 6, 7)
+    assert model.apply(spine, *args) == N1_CODE
+    assert model.budget.steps == 10 ** 6 - 3
+    for left, result, after in ((3, N1_CODE, 0), (2, None, 0), (-3, None, -3)):
+        model.budget.steps = left
+        assert model.apply(spine, *args) == result
+        assert model.budget.steps == after
+    # a K prefix is paid, and what follows is run and kept under its own key
+    model = Model()
+    assert model.apply(_k(K.MULT_CODE), 9, 3, 4) == 12
+    assert (K.MULT_CODE, 3, 4) in model._apply_memo
+    ran, left = len(runs), model.budget.steps
+    assert model.apply(_k(K.MULT_CODE), 9, 3, 4) == 12 and len(runs) == ran
+    assert model.budget.steps == 2 * left - 10 ** 6
+    # a diverger fails on its tick, behind the ticks of its K prefix
+    runs.clear()
+    diverger = pair(25, 0)
+    assert K.decode(diverger) is None
+    for prefix in range(3):
+        model = Model()
+        assert model.apply(_k(diverger, prefix), *range(prefix + 1)) is None
+        assert model.budget.steps == 10 ** 6 - prefix - 1
+        model.budget.steps = prefix
+        assert model.apply(_k(diverger, prefix), *range(prefix + 1)) is None
+        assert model.budget.steps == 0
+    assert runs == []
+
+
+@pytest.mark.parametrize("cap", [R._APPLY_CAP, 0], ids=["memo", "no-memo"])
+def test_apply_agrees_with_the_machine(monkeypatch, cap):
+    # Model.apply, with its charged steps and its memo, against a plain run of
+    # the machine on a fresh budget of the same size: a budget of -2 to 12
+    # steps, or that plus 60, so that PLUS and MULT runs halt and are kept
+    monkeypatch.setattr(R, "_APPLY_CAP", cap)
+    rng = random.Random(1717)
+    heads = [K.PLUS_CODE, K.MULT_CODE, pair(25, 0), code(K.I, [5]),
+             code(K.K), code(K.PAIR, [3]), code(K.S, [K.PLUS_CODE]),
+             code(K.AP, [K.MULT_CODE]), *range(12)]
+    model = Model()
+    for _ in range(3000):
+        e = _k(rng.choice(heads), rng.randrange(4))
+        args = tuple(rng.randrange(4) for _ in range(rng.randint(1, 5)))
+        fuel = rng.randint(-2, 12) + rng.choice((0, 60))
+        budget = K.Budget(fuel)
+        try:
+            expected = apply_many(e, *args, budget=budget)
+        except Diverged:
+            expected = None
+        model.budget.steps = fuel
+        assert model.apply(e, *args) == expected, (e, args, fuel)
+        assert model.budget.steps == budget.steps, (e, args, fuel)
 
 
 def test_open_memo_charges_exact_steps(monkeypatch):
