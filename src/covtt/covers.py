@@ -13,22 +13,19 @@ the exact-rational derivation checker for the real-line cover.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from fractions import Fraction
+
+from .syntax import Record, _records
 
 
-@dataclass
 class FiniteAxiomSet:
-    """An axiom set is fixed once it is built: __post_init__ compiles it for
+    """An axiom set is fixed once it is built: __init__ compiles it for
     saturate, so index and cover must not change afterwards."""
-    carrier: frozenset
-    index: dict          # elem -> frozenset of index labels
-    cover: dict          # (elem, index) -> frozenset of elems
 
-    def __post_init__(self):
-        self.carrier = frozenset(self.carrier)
-        self.index = {a: frozenset(js) for a, js in self.index.items()}
-        self.cover = {k: frozenset(v) for k, v in self.cover.items()}
+    def __init__(self, carrier, index: dict, cover: dict):
+        self.carrier = frozenset(carrier)
+        # elem -> frozenset of index labels; (elem, index) -> frozenset of elems
+        self.index = {a: frozenset(js) for a, js in index.items()}
+        self.cover = {k: frozenset(v) for k, v in cover.items()}
         for a in self.carrier:
             self.index.setdefault(a, frozenset())
         instances: dict = {}            # distinct (head, body) -> number
@@ -107,14 +104,10 @@ def check_induction_minimality(ax: FiniteAxiomSet, v: frozenset,
 # Quotients and equivalence relations
 # ---------------------------------------------------------------------------
 
-@dataclass
 class QuotientData:
-    carrier: frozenset                  # B
-    rel: frozenset                      # R, a set of pairs over B
-
-    def __post_init__(self):
-        self.carrier = frozenset(self.carrier)
-        self.rel = frozenset(self.rel)
+    def __init__(self, carrier, rel):
+        self.carrier = frozenset(carrier)       # B
+        self.rel = frozenset(rel)               # R, a set of pairs over B
         for b in self.carrier:
             if (b, b) not in self.rel:
                 raise ValueError(f"R is not reflexive at {b!r}")
@@ -274,43 +267,39 @@ def tree_topology(alphabet: frozenset, depth: int) -> FiniteAxiomSet:
 # The real-line cover: exact-rational derivation checking
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RMember:
+# Derivation nodes; the bounds are anything Fraction accepts.
+
+class RMember(Record):
     """Leaf: the goal pair is itself a member of U."""
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class REmpty:
+class REmpty(Record):
     """Leaf: the goal pair (p, q) has q <= p."""
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class RWiden:
+class RWiden(Record):
     """From a wider covered pair (lo, hi) with lo <= p < q <= hi."""
-    lo: Fraction
-    hi: Fraction
-    child: object
+    __slots__ = ("lo", "hi", "child")
 
 
-@dataclass(frozen=True)
-class RSplit:
+class RSplit(Record):
     """From overlapping covered pairs (p, s) and (r, q) with p <= r < s <= q."""
-    r: Fraction
-    s: Fraction
-    left: object
-    right: object
+    __slots__ = ("r", "s", "left", "right")
 
 
-@dataclass(frozen=True)
-class RWellCover:
+class RWellCover(Record):
     """Finitary well-cover step: a covered dominator (lo, hi) with
     lo <= p and q <= hi widens onto every pair strictly inside (p, q)."""
-    lo: Fraction
-    hi: Fraction
-    child: object
+    __slots__ = ("lo", "hi", "child")
+
+
+_records(RMember, REmpty, RWiden, RSplit, RWellCover)
 
 
 def _frac(x) -> Fraction:
+    from fractions import Fraction      # only this checker needs exact rationals
     return x if isinstance(x, Fraction) else Fraction(x)
 
 

@@ -16,9 +16,7 @@ Rejections carry the name of the rule whose premise failed.
 
 from __future__ import annotations
 
-import dataclasses
 from contextlib import contextmanager
-from dataclasses import dataclass
 
 from .kleene import DEFAULT_FUEL, Budget, Diverged
 # field signatures drive the congruence recursion and the decoding of T(code)
@@ -26,10 +24,10 @@ from .syntax import _HINTS, _SIG, _TYPE_PARTS
 from .syntax import (
     Ap, BVar, Context, Cons, CovHat, EmptyRec, FVar, IdHat, IdPeel, Ind, Inl,
     Inr, Judgment, Lam, ListHat, ListRec, N0Hat, N1Hat, NatRec, NHat, Nil,
-    Pair, PiHat, PlusHat, PreTerm, Refl, Rf, SigmaHat, Split, Star, Succ,
-    TDec, TId, TList, TN, TN0, TN1, TPi, TSigma, TSum, TU0, Tr, TypeEq,
-    TypeWF, TermEq, TermOf, UnitRec, When, Zero, abstract_out, alpha_eq, arrow,
-    fresh_name, instantiate, pi_, substitute, to_src,
+    Pair, PiHat, PlusHat, PreTerm, Record, Refl, Rf, SigmaHat, Split, Star,
+    Succ, TDec, TId, TList, TN, TN0, TN1, TPi, TSigma, TSum, TU0, Tr, TypeEq,
+    TypeWF, TermEq, TermOf, UnitRec, When, Zero, _records, abstract_out,
+    alpha_eq, arrow, fresh_name, instantiate, pi_, substitute, to_src,
 )
 
 Whnf = PreTerm
@@ -42,11 +40,12 @@ class CheckFailure(Exception):
         self.msg = msg
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    accepted: bool
-    rule: str | None = None
-    reason: str | None = None
+class CheckResult(Record):
+    __slots__ = ("accepted", "rule", "reason")     # a bool, then str or None
+    _defaults = (None, None)
+
+
+_records(CheckResult)
 
 
 @contextmanager
@@ -120,7 +119,7 @@ def _unwind(t: PreTerm) -> tuple[list[PreTerm], PreTerm]:
 
 def _rewind(frames: list[PreTerm], head: PreTerm) -> PreTerm:
     for frame in reversed(frames):
-        head = dataclasses.replace(frame, **{_ELIM_SCRUT[type(frame)]: head})
+        head = frame.replace(**{_ELIM_SCRUT[type(frame)]: head})
     return head
 
 

@@ -16,7 +16,6 @@ check is reported as Unknown(sampling), never Yes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from . import kleene as K
@@ -30,7 +29,7 @@ from .syntax import (
     NatRec, NHat, Nil, Pair, PiHat, PlusHat, PreTerm, Refl, Rf, SigmaHat,
     Split, Star, Succ, TDec, TId, TList, TN, TN0, TN1, TPi, TSigma, TSum,
     TU0, Tr, TypeEq, TypeWF, TermEq, TermOf, UnitRec, When, Zero, fresh_name,
-    _SIG, to_src,
+    _SIG, Record, _records, to_src,
 )
 
 DEFAULT_STAGE = 8
@@ -58,11 +57,10 @@ _APPLY_BITS = 256
 # Tri-valued answers
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Tri:
-    kind: str                   # "yes" | "no" | "unknown"
-    reason: str | None = None
-    staged: bool = False        # a no that rests on a stage cut
+class Tri(Record):
+    # kind is "yes" | "no" | "unknown"; staged marks a no that rests on a stage cut
+    __slots__ = ("kind", "reason", "staged")
+    _defaults = (None, False)
 
     def __bool__(self):
         raise TypeError("Tri is not a boolean; match on .kind")
@@ -70,6 +68,8 @@ class Tri:
     def __str__(self):
         return self.kind if self.kind != "unknown" else f"unknown({self.reason})"
 
+
+_records(Tri)
 
 YES = Tri("yes")
 FUEL = Tri("unknown", "fuel")

@@ -7,17 +7,21 @@ are named (``FVar``), so alpha-equivalence is plain structural equality and
 substitution can never capture.  Binder nodes keep name hints for printing
 only; hints never take part in equality.
 
+The node classes are built from one table, _FORMERS and _PRETYPE_FORMERS:
+adding a former is one row there (and, if it has concrete syntax, one entry
+in _FORMS or _TYPE_FORMS).  Nodes and the other records are immutable
+__slots__ objects made by _records, not dataclasses, so that importing this
+module stays cheap.
+
 The concrete grammar is documented in docs/grammar.md.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import re
 import threading
-from dataclasses import dataclass, field
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 
 
 class SyntaxError_(Exception):
@@ -31,327 +35,172 @@ class SyntaxError_(Exception):
 
 
 # ---------------------------------------------------------------------------
+# Records
+# ---------------------------------------------------------------------------
+
+class Record:
+    """An immutable record.  Its fields are its __slots__; the first ones,
+    _fields (by default all), take part in ==, hash and repr, and _defaults
+    fill the last ones.  _records gives a class its __init__."""
+
+    __slots__ = ()
+    _defaults: tuple = ()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == other._key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        parts = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({parts})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f) for f in self.__slots__)
+
+    def replace(self, **changes):
+        """A copy with the given fields changed."""
+        return type(self)(*[changes[f] if f in changes else getattr(self, f)
+                            for f in self.__slots__])
+
+
+def _records(*classes: type) -> None:
+    """Give each Record class its __match_args__ (every field) and an
+    __init__ that writes through the slot descriptors; all the __init__s are
+    compiled in one exec.  Field j of class i is written by the global sI_J."""
+    src, ns = [], {}
+    for i, cls in enumerate(classes):
+        fields = cls.__slots__
+        src.append(f"def init{i}({', '.join(('self', *fields))}): pass")
+        for j, f in enumerate(fields):
+            src.append(f"; s{i}_{j}(self, {f})")
+            ns[f"s{i}_{j}"] = vars(cls)[f].__set__
+        src.append("\n")
+    exec("".join(src), ns)
+    for i, cls in enumerate(classes):
+        cls.__init__ = init = ns[f"init{i}"]
+        init.__qualname__, init.__defaults__ = f"{cls.__name__}.__init__", cls._defaults or None
+        cls.__match_args__ = cls.__slots__
+        cls._fields = fields = vars(cls).get("_fields", cls.__slots__)
+        cls._key = attrgetter(*fields) if fields else (lambda _: ())
+
+
+# ---------------------------------------------------------------------------
 # AST
 # ---------------------------------------------------------------------------
 
-class PreTerm:
-    """Base class for terms, universe codes, and pretypes."""
+class PreTerm(Record):
+    """Base class for terms, universe codes, and pretypes.  == is alpha_eq
+    and the hash reads the same nodes, so neither recurses on deep trees."""
 
     __slots__ = ()
+
+    def __eq__(self, other):
+        return alpha_eq(self, other) if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(tuple(s if s.__class__ in _LEAVES else s.__class__.__name__
+                          for s, _ in _subterms(self)))
 
     def __str__(self) -> str:
         return to_src(self)
 
 
-def _hint(default: str):
-    return field(default=default, compare=False, repr=False)
-
-
-def _hints(*names: str):
-    return field(default=tuple(names), compare=False, repr=False)
-
-
-def _binds(n: int):
-    """A part under n bound variables; their names go to the next hint field."""
-    return field(metadata={"binds": n})
-
-
-def _term():
-    """A part of a pretype that is a term, not a type."""
-    return field(metadata={"term": True})
-
-
-# -- variables ---------------------------------------------------------------
-
-@dataclass(frozen=True)
-class BVar(PreTerm):
-    k: int
-
-
-@dataclass(frozen=True)
-class FVar(PreTerm):
-    name: str
-
-
-# -- natural numbers ---------------------------------------------------------
-
-@dataclass(frozen=True)
-class Zero(PreTerm):
-    pass
-
-
-@dataclass(frozen=True)
-class Succ(PreTerm):
-    arg: PreTerm
-
-
-@dataclass(frozen=True)
-class NatRec(PreTerm):
-    scrut: PreTerm
-    base: PreTerm
-    step: PreTerm = _binds(2)           # (k, prev)
-    step_hints: tuple = _hints("k", "r")
-
-
-# -- unit and empty ----------------------------------------------------------
-
-@dataclass(frozen=True)
-class Star(PreTerm):
-    pass
-
-
-@dataclass(frozen=True)
-class UnitRec(PreTerm):
-    scrut: PreTerm
-    base: PreTerm
-
-
-@dataclass(frozen=True)
-class EmptyRec(PreTerm):
-    scrut: PreTerm
-
-
-# -- sigma -------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Pair(PreTerm):
-    fst: PreTerm
-    snd: PreTerm
-
-
-@dataclass(frozen=True)
-class Split(PreTerm):
-    scrut: PreTerm
-    body: PreTerm = _binds(2)           # (a, b)
-    body_hints: tuple = _hints("a", "b")
-
-
-# -- pi ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Lam(PreTerm):
-    body: PreTerm = _binds(1)
-    hint: str = _hint("x")
-
-
-@dataclass(frozen=True)
-class Ap(PreTerm):
-    fn: PreTerm
-    arg: PreTerm
-
-
-# -- disjoint sum ------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Inl(PreTerm):
-    arg: PreTerm
-
-
-@dataclass(frozen=True)
-class Inr(PreTerm):
-    arg: PreTerm
-
-
-@dataclass(frozen=True)
-class When(PreTerm):
-    scrut: PreTerm
-    left: PreTerm = _binds(1)
-    right: PreTerm = _binds(1)
-    left_hint: str = _hint("a")
-    right_hint: str = _hint("b")
-
-
-# -- lists -------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Nil(PreTerm):
-    pass
-
-
-@dataclass(frozen=True)
-class Cons(PreTerm):
-    init: PreTerm                       # the shorter list
-    last: PreTerm                       # the appended element
-
-
-@dataclass(frozen=True)
-class ListRec(PreTerm):
-    scrut: PreTerm
-    base: PreTerm
-    step: PreTerm = _binds(3)           # (init, last, prev)
-    step_hints: tuple = _hints("t", "a", "r")
-
-
-# -- identity ----------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Refl(PreTerm):
-    arg: PreTerm
-
-
-@dataclass(frozen=True)
-class IdPeel(PreTerm):
-    scrut: PreTerm
-    body: PreTerm = _binds(1)
-    body_hint: str = _hint("x")
-
-
-# -- cover proofs ------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Rf(PreTerm):
-    elem: PreTerm
-    mem: PreTerm
-
-
-@dataclass(frozen=True)
-class Tr(PreTerm):
-    elem: PreTerm
-    idx: PreTerm
-    fn: PreTerm
-
-
-@dataclass(frozen=True)
-class Ind(PreTerm):
-    scrut: PreTerm
-    base: PreTerm = _binds(2)           # (x, w)
-    step: PreTerm = _binds(4)           # (x, h, k, f)
-    base_hints: tuple = _hints("x", "w")
-    step_hints: tuple = _hints("x", "h", "k", "f")
-
-
-# -- universe codes ----------------------------------------------------------
-
-@dataclass(frozen=True)
-class N0Hat(PreTerm):
-    pass
-
-
-@dataclass(frozen=True)
-class N1Hat(PreTerm):
-    pass
-
-
-@dataclass(frozen=True)
-class NHat(PreTerm):
-    pass
-
-
-@dataclass(frozen=True)
-class SigmaHat(PreTerm):
-    base: PreTerm
-    fam: PreTerm
-
-
-@dataclass(frozen=True)
-class PiHat(PreTerm):
-    base: PreTerm
-    fam: PreTerm
-
-
-@dataclass(frozen=True)
-class PlusHat(PreTerm):
-    left: PreTerm
-    right: PreTerm
-
-
-@dataclass(frozen=True)
-class ListHat(PreTerm):
-    base: PreTerm
-
-
-@dataclass(frozen=True)
-class IdHat(PreTerm):
-    base: PreTerm
-    lhs: PreTerm
-    rhs: PreTerm
-
-
-@dataclass(frozen=True)
-class CovHat(PreTerm):
-    """Code of the cover proposition: cov(s; x. i; x y. c; a; v)."""
-
-    base: PreTerm                       # s, code of the carrier set
-    idx: PreTerm = _binds(1)            # i, binds x
-    cov: PreTerm = _binds(2)            # c, binds (x, y)
-    elem: PreTerm                       # a
-    sub: PreTerm                        # v
-    idx_hint: str = _hint("x")
-    cov_hints: tuple = _hints("x", "y")
-
-
-# -- pretypes ----------------------------------------------------------------
-
-@dataclass(frozen=True)
-class TN0(PreTerm):
-    pass
-
-
-@dataclass(frozen=True)
-class TN1(PreTerm):
-    pass
-
-
-@dataclass(frozen=True)
-class TN(PreTerm):
-    pass
-
-
-@dataclass(frozen=True)
-class TU0(PreTerm):
-    pass
-
-
-@dataclass(frozen=True)
-class TSigma(PreTerm):
-    dom: PreTerm
-    cod: PreTerm = _binds(1)
-    hint: str = _hint("x")
-
-
-@dataclass(frozen=True)
-class TPi(PreTerm):
-    dom: PreTerm
-    cod: PreTerm = _binds(1)
-    hint: str = _hint("x")
-
-
-@dataclass(frozen=True)
-class TSum(PreTerm):
-    left: PreTerm
-    right: PreTerm
-
-
-@dataclass(frozen=True)
-class TList(PreTerm):
-    elem: PreTerm
-
-
-@dataclass(frozen=True)
-class TId(PreTerm):
-    ty: PreTerm
-    lhs: PreTerm = _term()
-    rhs: PreTerm = _term()
-
-
-@dataclass(frozen=True)
-class TDec(PreTerm):
-    """T(a): the type decoded from the universe code a."""
-
-    code: PreTerm = _term()
-
-
-# Per node class: (field name, number of variables the field binds), read off
-# the dataclass fields; the name or index of a variable is not a part.
-_SIG: dict[type, tuple[tuple[str, int], ...]] = {
-    cls: () if cls in (BVar, FVar) else tuple((f.name, f.metadata.get("binds", 0))
-                                              for f in dataclasses.fields(cls) if f.compare)
-    for cls in PreTerm.__subclasses__()}
-
-# Per node class: its hint fields (the compare=False fields, in order); the
-# n-th one keeps the binder names of the n-th field that binds variables.
-_HINTS = {cls: [f.name for f in dataclasses.fields(cls) if not f.compare]
-          for cls in _SIG}
+# The node classes, one per line: the class, its parts, and after "|" its
+# hint fields with their defaults.  A part "body/2" binds two variables; the
+# next hint field keeps their names, a name for one variable and a tuple
+# "a,b" for more.  The name or index of a variable is a field, not a part.
+# Cons: init is the shorter list, last the appended element.  CovHat is the
+# code cov(s; x. i; x y. c; a; v).
+_FORMERS = """
+BVar k
+FVar name
+Zero
+Succ arg
+NatRec scrut base step/2 | step_hints=k,r
+Star
+UnitRec scrut base
+EmptyRec scrut
+Pair fst snd
+Split scrut body/2 | body_hints=a,b
+Lam body/1 | hint=x
+Ap fn arg
+Inl arg
+Inr arg
+When scrut left/1 right/1 | left_hint=a right_hint=b
+Nil
+Cons init last
+ListRec scrut base step/3 | step_hints=t,a,r
+Refl arg
+IdPeel scrut body/1 | body_hint=x
+Rf elem mem
+Tr elem idx fn
+Ind scrut base/2 step/4 | base_hints=x,w step_hints=x,h,k,f
+N0Hat
+N1Hat
+NHat
+SigmaHat base fam
+PiHat base fam
+PlusHat left right
+ListHat base
+IdHat base lhs rhs
+CovHat base idx/1 cov/2 elem sub | idx_hint=x cov_hints=x,y
+"""
+# The pretype classes, read like _FORMERS; a part marked ":term" is a term,
+# not a type.  TDec is T(a), the type the code a decodes to.
+_PRETYPE_FORMERS = """
+TN0
+TN1
+TN
+TU0
+TSigma dom cod/1 | hint=x
+TPi dom cod/1 | hint=x
+TSum left right
+TList elem
+TId ty lhs:term rhs:term
+TDec code:term
+"""
+# Per node class: (part name, number of variables the part binds), and its
+# hint fields, the n-th keeping the binder names of the n-th part that binds;
+# per pretype class: whether each part is a type (else a term).
+_SIG: dict[type, tuple[tuple[str, int], ...]] = {}
+_HINTS: dict[type, list[str]] = {}
+_TYPE_PARTS: dict[type, tuple[bool, ...]] = {}
+
+
+def _former(line: str, pretype: bool) -> type:
+    """The node class of one line of _FORMERS or _PRETYPE_FORMERS."""
+    name, *parts = line.partition("|")[0].split()
+    hints = [h.split("=") for h in line.partition("|")[2].split()]
+    fields = tuple(p.split("/")[0].split(":")[0] for p in parts)
+    arities = [int(p.partition("/")[2] or 0) for p in parts]
+    defaults = tuple(d if arity == 1 else tuple(d.split(","))
+                     for (_, d), arity in zip(hints, filter(None, arities)))
+    cls = type(name, (PreTerm,), {"__slots__": fields + tuple(h for h, _ in hints),
+                                  "_fields": fields, "_defaults": defaults})
+    _SIG[cls] = () if name in ("BVar", "FVar") else tuple(zip(fields, arities))
+    _HINTS[cls] = [h for h, _ in hints]
+    if pretype:
+        _TYPE_PARTS[cls] = tuple(not p.endswith(":term") for p in parts)
+    return cls
+
+
+globals().update({cls.__name__: cls for cls in (
+    *(_former(line, False) for line in _FORMERS.strip().splitlines()),
+    *(_former(line, True) for line in _PRETYPE_FORMERS.strip().splitlines()))})
+_LEAVES = (BVar, FVar)
+for _cls in _LEAVES:                    # == and hash read their one field
+    _cls.__eq__, _cls.__hash__ = Record.__eq__, Record.__hash__
+PRETYPES = frozenset(_TYPE_PARTS)
 
 # The bracketed term formers: keyword -> (node class, separator).  Their
 # parts are the class's _SIG fields in order; a field that binds n variables
@@ -367,16 +216,66 @@ _FORMS: dict[str, tuple[type, str]] = {
     "pihat": (PiHat, ","), "plushat": (PlusHat, ","),
     "listhat": (ListHat, ","), "idhat": (IdHat, ","), "cov": (CovHat, ";"),
 }
-# The bracketed type formers, read like _FORMS; a part marked _term() is a term.
+# The bracketed type formers, read like _FORMS; a part marked :term is a term.
 _TYPE_FORMS = {"Sum": (TSum, ","), "List": (TList, ","), "Id": (TId, ","),
                "T": (TDec, ",")}
 _ATOMS = {"star": Star, "nil": Nil, "n0hat": N0Hat, "n1hat": N1Hat, "nhat": NHat}
 _TYPE_ATOMS = {"N0": TN0, "N1": TN1, "N": TN, "U0": TU0}
-PRETYPES = frozenset({TSigma, TPi, *_TYPE_ATOMS.values(),
-                      *(cls for cls, _ in _TYPE_FORMS.values())})
-# Per pretype class: whether each of its _SIG parts is a type (else a term).
-_TYPE_PARTS = {cls: tuple(not f.metadata.get("term") for f in dataclasses.fields(cls)
-                          if f.compare) for cls in PRETYPES}
+
+
+# ---------------------------------------------------------------------------
+# Contexts and judgments
+# ---------------------------------------------------------------------------
+
+class Context(Record):
+    __slots__ = ("entries",)            # ((name, type), ...)
+    _defaults = ((),)
+
+    def lookup(self, name: str) -> PreTerm | None:
+        for n, ty in self.entries:
+            if n == name:
+                return ty
+        return None
+
+    def extend(self, name: str, ty: PreTerm) -> "Context":
+        return Context(self.entries + ((name, ty),))
+
+
+class TypeWF(Record):
+    __slots__ = ("ctx", "ty")
+
+
+class TypeEq(Record):
+    __slots__ = ("ctx", "lhs", "rhs")
+
+
+class TermOf(Record):
+    __slots__ = ("ctx", "term", "ty")
+
+
+class TermEq(Record):
+    __slots__ = ("ctx", "lhs", "rhs", "ty")
+
+
+Judgment = TypeWF | TypeEq | TermOf | TermEq
+
+# The judgment forms: keyword -> (class, and for each part after the context
+# the token before it and whether it is a type).  Parser and printer read this.
+_JUDGMENTS: dict[str, tuple[type, tuple[tuple[str, bool], ...]]] = {
+    "type": (TypeWF, (("|-", True),)),
+    "typeeq": (TypeEq, (("|-", True), ("==", True))),
+    "term": (TermOf, (("|-", False), (":", True))),
+    "termeq": (TermEq, (("|-", False), ("==", False), (":", True))),
+}
+
+
+class CtDirective(Record):
+    """A `ct f` line: check the Church's-thesis realizer against the term f."""
+
+    __slots__ = ("fn",)
+
+
+_records(*_SIG, Context, TypeWF, TypeEq, TermOf, TermEq, CtDirective)
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +311,7 @@ def _map(t: PreTerm, at, depth: int = 0) -> PreTerm:
         new = _map(old, at, depth + arity)
         if new is not old:
             changes[name] = new
-    return dataclasses.replace(t, **changes) if changes else t
+    return t.replace(**changes) if changes else t
 
 
 def _subterms(t: PreTerm):
@@ -508,71 +407,6 @@ def as_numeral(t: PreTerm) -> int | None:
         n += 1
         t = t.arg
     return n if isinstance(t, Zero) else None
-
-
-# ---------------------------------------------------------------------------
-# Contexts and judgments
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Context:
-    entries: tuple[tuple[str, PreTerm], ...] = ()
-
-    def lookup(self, name: str) -> PreTerm | None:
-        for n, ty in self.entries:
-            if n == name:
-                return ty
-        return None
-
-    def extend(self, name: str, ty: PreTerm) -> "Context":
-        return Context(self.entries + ((name, ty),))
-
-
-@dataclass(frozen=True)
-class TypeWF:
-    ctx: Context
-    ty: PreTerm
-
-
-@dataclass(frozen=True)
-class TypeEq:
-    ctx: Context
-    lhs: PreTerm
-    rhs: PreTerm
-
-
-@dataclass(frozen=True)
-class TermOf:
-    ctx: Context
-    term: PreTerm
-    ty: PreTerm
-
-
-@dataclass(frozen=True)
-class TermEq:
-    ctx: Context
-    lhs: PreTerm
-    rhs: PreTerm
-    ty: PreTerm
-
-
-Judgment = TypeWF | TypeEq | TermOf | TermEq
-
-# The judgment forms: keyword -> (class, and for each part after the context
-# the token before it and whether it is a type).  Parser and printer read this.
-_JUDGMENTS: dict[str, tuple[type, tuple[tuple[str, bool], ...]]] = {
-    "type": (TypeWF, (("|-", True),)),
-    "typeeq": (TypeEq, (("|-", True), ("==", True))),
-    "term": (TermOf, (("|-", False), (":", True))),
-    "termeq": (TermEq, (("|-", False), ("==", False), (":", True))),
-}
-
-
-@dataclass(frozen=True)
-class CtDirective:
-    """A `ct f` line: check the Church's-thesis realizer against the term f."""
-
-    fn: PreTerm
 
 
 # ---------------------------------------------------------------------------
@@ -986,7 +820,7 @@ def judgment_to_src(j: Judgment | CtDirective) -> str:
     if isinstance(j, CtDirective):
         return f"ct {to_src(j.fn)}"
     kw = _JUDGMENT_OF[type(j)]
-    parts = [getattr(j, f.name) for f in dataclasses.fields(j)[1:]]
+    parts = [getattr(j, f) for f in j.__slots__[1:]]
     used = set()
     for _, ty in j.ctx.entries:
         used |= free_vars(ty)

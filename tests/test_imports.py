@@ -1,9 +1,13 @@
-"""Guards over src/covtt as a whole: it stays standard-library only, and
-every function cache it keeps has a finite size."""
+"""Guards over src/covtt as a whole: it stays standard-library only, its
+import loads no module it does not need, and every function cache it keeps
+has a finite size."""
 
 import ast
 import importlib
 import inspect
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -23,6 +27,19 @@ def test_src_imports_only_the_standard_library():
                 continue
             for name in names:
                 assert name.split(".")[0] in sys.stdlib_module_names, (path.name, name)
+
+
+def test_cli_import_loads_no_heavy_module():
+    """Every covtt command pays for importing covtt.cli.  These modules cost
+    milliseconds to import and nothing in covtt needs them at import time;
+    the real-line checker imports fractions when it runs."""
+    probe = ("import json, sys; before = set(sys.modules); import covtt.cli; "
+             "print(json.dumps(sorted(set(sys.modules) - before)))")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": str(SRC.parent)})
+    loaded = set(json.loads(out.stdout))
+    assert "covtt.cli" in loaded
+    assert loaded.isdisjoint({"dataclasses", "inspect", "fractions"}), loaded
 
 
 def test_every_lru_cache_is_bounded():

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from covtt.syntax import (
-    FVar, Succ, SyntaxError_, abstract_out, alpha_eq, free_vars, judgment_to_src,
+    _SIG, BVar, FVar, Pair, Succ, SyntaxError_, Zero, abstract_out, alpha_eq, free_vars, judgment_to_src,
     numeral, parse, parse_judgment, parse_term, parse_type, substitute, to_src,
 )
 
@@ -120,6 +120,15 @@ def test_round_trip_random():
         assert alpha_eq(parse_term(printed), t), (src, printed)
 
 
+def _structural_eq(a, b) -> bool:
+    """Equality of the parts over _SIG, hints left out, by plain recursion."""
+    if type(a) is not type(b):
+        return False
+    if type(a) in (BVar, FVar):
+        return (a.k == b.k) if type(a) is BVar else (a.name == b.name)
+    return all(_structural_eq(getattr(a, f), getattr(b, f)) for f, _ in _SIG[type(a)])
+
+
 def test_alpha_eq_renaming():
     assert alpha_eq(parse_term("lam x . x"), parse_term("lam y . y"))
     assert not alpha_eq(parse_term("lam x . 0"), parse_term("lam x . succ(0)"))
@@ -133,17 +142,37 @@ def test_alpha_eq_renaming():
         ca = parse_term(ctx.format("lam x . Ap(x, u)"))
         cb = parse_term(ctx.format("lam y . Ap(y, u)"))
         assert alpha_eq(ca, cb), ctx
-    # the walk answers as the dataclasses' == does, and keeps a stack, so
-    # deep terms, where == would recurse past the limit, compare too
+    # the walk answers as a recursive structural equality does, and keeps a
+    # stack, so deep terms, where a recursion would pass the limit, compare too
     terms = [parse_term(src) for src in (
         "lam x . x", "lam y . y", "lam x . u", "pair(u, 1)", "pair(v, 1)",
         "pair(u, succ(0))", "inl(u)", "inr(u)", "natrec(n; 0; k r . succ(r))",
         "natrec(n; 0; k r . succ(k))")]
     for a in terms:
-        assert [alpha_eq(a, b) for b in terms] == [a == b for b in terms], a
+        assert [alpha_eq(a, b) for b in terms] == [_structural_eq(a, b) for b in terms], a
     deep = parse_term("lam x . 25000")
     assert alpha_eq(deep, parse_term("lam y . 25000"))
     assert not alpha_eq(deep, parse_term("lam x . 25001"))
+
+
+def test_eq_and_hash_do_not_recurse():
+    """== runs alpha_eq's stack and the hash reads the nodes in a loop, so
+    deep trees compare and hash; hints take part in neither."""
+    deep = parse_term("succ(" * 19000 + "(0)" + ")" * 19000)
+    assert deep is not numeral(19000)
+    assert deep == parse_term("19000") and hash(deep) == hash(parse_term("19000"))
+    assert deep != parse_term("19001")
+    chains = []
+    for _ in range(2):
+        t = Zero()
+        for _ in range(30000):
+            t = Pair(t, Zero())
+        chains.append(t)
+    assert chains[0] is not chains[1]
+    assert chains[0] == chains[1] and hash(chains[0]) == hash(chains[1])
+    assert chains[0] != Pair(chains[1], Zero())
+    a, b = parse_term("lam x . x"), parse_term("lam y . y")
+    assert a.hint != b.hint and a == b and hash(a) == hash(b)
 
 
 def test_substitute():
