@@ -5,9 +5,11 @@ I(a) and, for each index j, a covering subset C(a, j) of A.  Saturation
 computes the least subset containing V and closed under: a enters whenever
 some C(a, j) is already contained.  An axiom set is compiled once, when it
 is built, so each saturation costs time in proportion to the instances it
-touches.  On top of that sit the quotient and equivalence-relation
-transforms, the well-founded-part encoding, bounded tree topologies, and
-the exact-rational derivation checker for the real-line cover.
+touches.  The exhaustive minimality check reads the declared axioms and
+enumerates only the supersets of V.  On top of that sit the quotient and
+equivalence-relation transforms, the well-founded-part encoding, bounded
+tree topologies, and the exact-rational derivation checker for the
+real-line cover.
 """
 
 from __future__ import annotations
@@ -21,24 +23,20 @@ class FiniteAxiomSet:
     """An axiom set is fixed once it is built: __init__ compiles it for
     saturate, so index and cover must not change afterwards."""
 
-    def __init__(self, carrier, index: dict, cover: dict):
+    def __init__(self, carrier, index: dict, cover):
         self.carrier = frozenset(carrier)
         # elem -> frozenset of index labels; (elem, index) -> frozenset of elems
         self.index = {a: frozenset(js) for a, js in index.items()}
-        self.cover = {k: frozenset(v) for k, v in cover.items()}
         for a in self.carrier:
             self.index.setdefault(a, frozenset())
+        view = isinstance(cover, _DummyIndexCover)
+        self.cover = cover if view else {k: frozenset(v) for k, v in cover.items()}
+        pairs = cover.pairs() if view else _pairs(self.carrier, self.index, self.cover)
         instances: dict = {}            # distinct (head, body) -> number
-        for a, js in self.index.items():
-            if a not in self.carrier:
-                raise ValueError(f"index family mentions {a!r} outside the carrier")
-            for j in js:
-                if (a, j) not in self.cover:
-                    raise ValueError(f"no covering subset for ({a!r}, {j!r})")
-                body = self.cover[(a, j)]
-                if not body <= self.carrier:
-                    raise ValueError(f"C({a!r}, {j!r}) leaves the carrier")
-                instances.setdefault((a, body), len(instances))
+        for a, j, body in pairs:
+            if not body <= self.carrier:
+                raise ValueError(f"C({a!r}, {j!r}) leaves the carrier")
+            instances.setdefault((a, body), len(instances))
         # per instance its head and member count; per member its watchers
         self._heads = [a for a, _ in instances]
         self._counts = [len(body) for _, body in instances]
@@ -47,6 +45,38 @@ class FiniteAxiomSet:
             for y in body:
                 self._watchers[y].append(i)
         self._free = frozenset(a for a, body in instances if not body)
+
+
+def _pairs(carrier: frozenset, index: dict, cover: dict):
+    """(a, j, C(a, j)) for every declared index j of every a."""
+    for a, js in index.items():
+        if a not in carrier:
+            raise ValueError(f"index family mentions {a!r} outside the carrier")
+        for j in js:
+            if (a, j) not in cover:
+                raise ValueError(f"no covering subset for ({a!r}, {j!r})")
+            yield a, j, cover[(a, j)]
+
+
+class _DummyIndexCover:
+    """The read-only cover family C(x, y) = body[x] for every y in index[x]:
+    never written out, it compiles to one instance per x."""
+
+    __slots__ = ("index", "body")
+
+    def __init__(self, index: dict, body: dict):
+        self.index, self.body = index, body
+
+    def __contains__(self, key) -> bool:
+        return key[1] in self.index.get(key[0], ())
+
+    def __getitem__(self, key):
+        if key not in self:
+            raise KeyError(key)
+        return self.body[key[0]]
+
+    def pairs(self):
+        return ((x, next(iter(js)), self.body[x]) for x, js in self.index.items() if js)
 
 
 def saturate(ax: FiniteAxiomSet, v: frozenset) -> frozenset:
@@ -87,14 +117,17 @@ def cont(ax: FiniteAxiomSet, v: frozenset, p: frozenset) -> bool:
 
 def check_induction_minimality(ax: FiniteAxiomSet, v: frozenset,
                                bound: int = 16) -> bool:
-    """saturate(V) is below every P satisfying cont(V, P), exhaustively."""
-    elems = sorted(ax.carrier, key=repr)
-    if len(elems) > bound:
-        raise ValueError(f"carrier size {len(elems)} exceeds the bound {bound}")
+    """saturate(V) is below every P satisfying cont(V, P), exhaustively.
+
+    cont(V, P) fails unless P contains V, so only the supersets of V are
+    enumerated."""
+    if len(ax.carrier) > bound:
+        raise ValueError(f"carrier size {len(ax.carrier)} exceeds the bound {bound}")
     v = frozenset(v)
     sat = saturate(ax, v)
-    for bits in itertools.product((False, True), repeat=len(elems)):
-        p = frozenset(e for e, b in zip(elems, bits) if b)
+    rest = sorted(ax.carrier - v, key=repr)
+    for bits in itertools.product((False, True), repeat=len(rest)):
+        p = v.union(e for e, b in zip(rest, bits) if b)
         if cont(ax, v, p) and not sat <= p:
             return False
     return True
@@ -213,7 +246,8 @@ def wp_axiom_set(rel: frozenset, carrier: frozenset) -> FiniteAxiomSet:
 
     Every carrier element serves as a (dummy) index, and the covering subset
     ignores it, so x is covered by the empty subset exactly when all its
-    predecessors already are.
+    predecessors already are.  The cover family is a view, not |carrier|^2
+    entries, and compiles to one instance per element.
     """
     carrier = frozenset(carrier)
     preds: dict = {x: set() for x in carrier}
@@ -223,8 +257,7 @@ def wp_axiom_set(rel: frozenset, carrier: frozenset) -> FiniteAxiomSet:
         preds[x].add(z)
     preds = {x: frozenset(zs) for x, zs in preds.items()}
     index = {x: carrier for x in carrier}
-    cover = {(x, y): preds[x] for x in carrier for y in carrier}
-    return FiniteAxiomSet(carrier, index, cover)
+    return FiniteAxiomSet(carrier, index, _DummyIndexCover(index, preds))
 
 
 def well_founded_part(rel: frozenset, carrier: frozenset) -> frozenset:
@@ -369,6 +402,8 @@ def parse_axiom_file(text: str) -> tuple[FiniteAxiomSet, list[tuple]]:
                     raise SchemaError(f"unknown element {m!r}", lineno)
             if j not in index.get(elem, set()):
                 raise SchemaError(f"index {j!r} not declared for {elem!r}", lineno)
+            if (elem, j) in cover:
+                raise SchemaError(f"repeated cover line for ({elem!r}, {j!r})", lineno)
             cover[(elem, j)] = frozenset(members)
         elif kind == "query":
             queries.append(parse_query(rest, carrier, lineno))

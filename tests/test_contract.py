@@ -54,12 +54,15 @@ def _cases() -> dict[str, list[str]]:
         "cover_cantor2_unknown_query": ["cover", str(CORPUS / "cantor2.cover"),
                                         "--query", "e <| l2"],
         "cover_bad_member": ["cover", str(DATA / "bad.cover")],
+        "cover_repeated_pair": ["cover", str(DATA / "repeated.cover")],
         "cover_tree4_structured": ["cover", str(DATA / "tree4.cover"),
                                    "--format", "structured"],
         "wp_wp3": ["wp", str(CORPUS / "wp3.rel")],
         "wp_wp3_structured": ["wp", str(CORPUS / "wp3.rel"),
                               "--format", "structured"],
         "wp_bad_relation": ["wp", str(DATA / "bad.rel")],
+        "wp_wp60_structured": ["wp", str(DATA / "wp60.rel"),
+                               "--format", "structured"],
         "eval_ind": ["eval", "ind(rf(a, r); x w . Ap(Ap(q1, x), w); x h k f . 0)"],
         "eval_beta": ["eval", "Ap(lam x . succ(x), 1)", "--format", "structured"],
         "eval_omega": ["eval", OMEGA, "--fuel", "500"],

@@ -1,9 +1,11 @@
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
 
+from covtt import covers
 from covtt.covers import (
     FiniteAxiomSet, QuotientData, REmpty, RMember, RSplit, RWellCover,
     RWiden, SchemaError, check_eqcov_isomorphism, check_induction_minimality,
@@ -148,6 +150,36 @@ def test_induction_minimality_and_cont():
                                    frozenset(), bound=3)
 
 
+def minimality_oracle(ax: FiniteAxiomSet, v: frozenset) -> bool:
+    """Every one of the 2^n subsets P: cont(V, P) forces saturate(V) <= P."""
+    elems = sorted(ax.carrier)
+    sat = saturate(ax, v)
+    for bits in itertools.product((False, True), repeat=len(elems)):
+        p = frozenset(e for e, b in zip(elems, bits) if b)
+        if cont(ax, v, p) and not sat <= p:
+            return False
+    return True
+
+
+def test_induction_minimality_matches_full_enumeration(monkeypatch):
+    rng = random.Random(67)
+    for _ in range(80):
+        n = rng.randrange(1, 11)
+        ax = random_axiom_set(rng, range(n))
+        for v in (frozenset(), ax.carrier,
+                  frozenset(rng.sample(range(n), rng.randrange(0, n + 1)))):
+            assert check_induction_minimality(ax, v) == minimality_oracle(ax, v)
+    # with saturation broken to answer the whole carrier, the check must
+    # object wherever V does not cover the carrier (the oracle keeps the
+    # real saturate)
+    ax = FiniteAxiomSet(range(3), {0: {"j"}}, {(0, "j"): frozenset({1})})
+    monkeypatch.setattr(covers, "saturate", lambda ax, v: ax.carrier)
+    for v in (frozenset(), frozenset({1})):
+        assert minimality_oracle(ax, v)
+        assert check_induction_minimality(ax, v) is False
+    assert check_induction_minimality(ax, ax.carrier)
+
+
 # ---------------------------------------------------------------------------
 # quotients
 # ---------------------------------------------------------------------------
@@ -234,11 +266,32 @@ def test_wp_examples():
 
 def test_wp_encoding_shape():
     s = frozenset({0, 1})
-    ax = wp_axiom_set(frozenset({(0, 1)}), s)
+    rel = frozenset({(0, 1)})
+    ax = wp_axiom_set(rel, s)
     # indices are dummy: every index of x covers it by x's predecessors
     for y in s:
         assert ax.cover[(1, y)] == frozenset({0})
         assert ax.cover[(0, y)] == frozenset()
+    for x in s:
+        assert ax.index[x] == s
+    for key in ((0, 2), (2, 0), (2, 2)):
+        with pytest.raises(KeyError):
+            ax.cover[key]
+    assert cont(ax, frozenset(), well_founded_part(rel, s))
+
+
+def test_wp_encoding_stays_linear():
+    # a chain of 600 nodes: 600 instances, never 600^2 cover entries
+    n = 600
+    rel = frozenset((i, i + 1) for i in range(n - 1))
+    tracemalloc.start()
+    try:
+        wp = well_founded_part(rel, frozenset(range(n)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert wp == frozenset(range(n))
+    assert peak < 5 * 2 ** 20
 
 
 def test_wp_matches_chain_oracle():
@@ -328,6 +381,8 @@ def test_axiom_schema_errors():
         parse_axiom_file("carrier a\ncover a j : a\n")
     with pytest.raises(SchemaError):
         parse_axiom_file("carrier a\nquery b <| a\n")
+    with pytest.raises(SchemaError, match="line 4: repeated cover line"):
+        parse_axiom_file("carrier a b\nindex a : j\ncover a j : b\ncover a j : a\n")
 
 
 def test_relation_schema():
