@@ -7,9 +7,9 @@ The checker is sound for the declarative theory and deliberately incomplete:
   an open equation) is not admitted; the replacement rule is what the
   equality recursion implements at non-binding positions.
 - eliminator motives are not part of the term syntax; the checker synthesizes
-  them by abstracting the goal type over the scrutinee (and, for the cover
-  eliminator, over the covered element).  Eliminators whose scrutinee has no
-  inferable type are rejected.
+  them by abstracting the goal type over the scrutinee: Id-E abstracts both
+  endpoints and the proof, and ind-cov the covered element and the proof.
+  Eliminators whose scrutinee has no inferable type are rejected.
 
 Rejections carry the name of the rule whose premise failed.
 """
@@ -55,6 +55,22 @@ def _premise(rule: str, what: str):
         yield
     except CheckFailure as e:
         raise CheckFailure(rule, f"{what}: {e.msg}") from None
+
+
+def _premise_check(rule: str, label: str, ctx: Context, t: PreTerm, goal: PreTerm,
+                   budget: Budget, binders: tuple = ()) -> None:
+    """One premise of rule: t, under the (name, type) binders in order, checks
+    against goal; a failure is reported as rule: label."""
+    if binders:
+        xs = []
+        for x, ty in binders:
+            ctx = ctx.extend(x, ty)
+            xs.append(FVar(x))
+        t = instantiate(t, tuple(xs))
+    try:                        # not _premise: its generator costs on every premise
+        _check(ctx, t, goal, budget)
+    except CheckFailure as e:
+        raise CheckFailure(rule, f"{label}: {e.msg}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -306,27 +322,21 @@ def _infer(ctx: Context, t: PreTerm, budget: Budget) -> PreTerm:
             if not isinstance(fty, TPi):
                 raise CheckFailure("Ap", f"applied term has type {to_src(fty)}, "
                                          f"which is not a Pi type")
-            with _premise("Ap", "argument"):
-                _check(ctx, arg, fty.dom, budget)
+            _premise_check("Ap", "argument", ctx, arg, fty.dom, budget)
             return instantiate(fty.cod, (arg,))
         case Refl(arg):
             return TId(_infer(ctx, arg, budget), arg, arg)
         case CovHat(s, i, c, a, v):
             # written out, as its binders are dependent: axcov(s, i, c), a, v
-            with _premise("F-cov", "carrier code s"):
-                _check(ctx, s, TU0(), budget)
+            _premise_check("F-cov", "carrier code s", ctx, s, TU0(), budget)
             x = fresh_name(t.idx_hint)
-            with _premise("F-cov", "index family i"):
-                _check(ctx.extend(x, TDec(s)), instantiate(i, (FVar(x),)), TU0(), budget)
-            xc, y = fresh_name(t.cov_hints[0]), fresh_name(t.cov_hints[1])
-            ctx_c = ctx.extend(xc, TDec(s)).extend(y, TDec(instantiate(i, (FVar(xc),))))
-            with _premise("F-cov", "covering family c"):
-                _check(ctx_c, instantiate(c, (FVar(xc), FVar(y))),
-                       arrow(TDec(s), TU0()), budget)
-            with _premise("F-cov", "element a"):
-                _check(ctx, a, TDec(s), budget)
-            with _premise("F-cov", "subset v"):
-                _check(ctx, v, arrow(TDec(s), TU0()), budget)
+            _premise_check("F-cov", "index family i", ctx, i, TU0(), budget,
+                           ((x, TDec(s)),))
+            xc, y = map(fresh_name, t.cov_hints)
+            _premise_check("F-cov", "covering family c", ctx, c, arrow(TDec(s), TU0()),
+                           budget, ((xc, TDec(s)), (y, TDec(instantiate(i, (FVar(xc),))))))
+            _premise_check("F-cov", "element a", ctx, a, TDec(s), budget)
+            _premise_check("F-cov", "subset v", ctx, v, arrow(TDec(s), TU0()), budget)
             return TU0()
         case _ if type(t) in _DECODE:
             # the premises of the pretype t decodes to, one universe down: a
@@ -337,9 +347,8 @@ def _infer(ctx: Context, t: PreTerm, budget: Budget) -> PreTerm:
             cls = _DECODE[type(t)]
             for part, (_, arity), is_type, label in zip(parts, _SIG[cls],
                                                         _TYPE_PARTS[cls], labels):
-                with _premise(rule, label):
-                    _check(ctx, part, arrow(TDec(parts[0]), TU0()) if arity
-                           else TU0() if is_type else TDec(parts[0]), budget)
+                _premise_check(rule, label, ctx, part, arrow(TDec(parts[0]), TU0()) if arity
+                               else TU0() if is_type else TDec(parts[0]), budget)
             return TU0()
     raise CheckFailure("infer", f"no type can be inferred for {to_src(t)}")
 
@@ -349,6 +358,12 @@ def _cover_at(g: TDec, elem: PreTerm) -> TDec:
     assert isinstance(cov, CovHat)
     return TDec(CovHat(cov.base, cov.idx, cov.cov, elem, cov.sub,
                        cov.idx_hint, cov.cov_hints))
+
+
+def _covering_fn(g: TDec, c: PreTerm) -> TPi:
+    """(Pi z : T(s)) (z eps c -> z cov v), for the cover type g = T(cov(s; ..; v))."""
+    z = fresh_name("z")
+    return pi_(z, TDec(g.code.base), arrow(TDec(Ap(c, FVar(z))), _cover_at(g, FVar(z))))
 
 
 def _check(ctx: Context, t: PreTerm, goal: PreTerm, budget: Budget) -> None:
@@ -363,26 +378,22 @@ def _check(ctx: Context, t: PreTerm, goal: PreTerm, budget: Budget) -> None:
         case Pair(a, b):
             if not isinstance(g, TSigma):
                 raise CheckFailure("Sigma-I", f"pair against {to_src(g)}")
-            with _premise("Sigma-I", "first component"):
-                _check(ctx, a, g.dom, budget)
-            with _premise("Sigma-I", "second component"):
-                _check(ctx, b, instantiate(g.cod, (a,)), budget)
+            _premise_check("Sigma-I", "first component", ctx, a, g.dom, budget)
+            _premise_check("Sigma-I", "second component", ctx, b,
+                           instantiate(g.cod, (a,)), budget)
         case Inl(a) | Inr(a):
             if not isinstance(g, TSum):
                 raise CheckFailure("Sum-I", f"injection against {to_src(g)}")
-            side = g.left if isinstance(t, Inl) else g.right
-            with _premise("Sum-I", "injected term"):
-                _check(ctx, a, side, budget)
+            _premise_check("Sum-I", "injected term", ctx, a,
+                           g.left if isinstance(t, Inl) else g.right, budget)
         case Nil():
             if not isinstance(g, TList):
                 raise CheckFailure("List-I", f"nil against {to_src(g)}")
         case Cons(init, last):
             if not isinstance(g, TList):
                 raise CheckFailure("List-I", f"cons against {to_src(g)}")
-            with _premise("List-I", "list part"):
-                _check(ctx, init, g, budget)
-            with _premise("List-I", "element part"):
-                _check(ctx, last, g.elem, budget)
+            _premise_check("List-I", "list part", ctx, init, g, budget)
+            _premise_check("List-I", "element part", ctx, last, g.elem, budget)
         case Zero() | Succ():
             if not isinstance(g, TN):
                 raise CheckFailure("N-I", f"numeral against {to_src(g)}")
@@ -390,16 +401,15 @@ def _check(ctx: Context, t: PreTerm, goal: PreTerm, budget: Budget) -> None:
             while isinstance(t, Succ):       # a numeral is peeled in a loop
                 n, t = n + 1, t.arg
             if n:
-                with _premise("N-I", ": ".join(["argument of succ"] * n)):
-                    _check(ctx, t, TN(), budget)
+                _premise_check("N-I", ": ".join(["argument of succ"] * n), ctx, t, TN(),
+                               budget)
         case Star():
             if not isinstance(g, TN1):
                 raise CheckFailure("N1-I", f"star against {to_src(g)}")
         case Refl(a):
             if not isinstance(g, TId):
                 raise CheckFailure("Id-I", f"refl against {to_src(g)}")
-            with _premise("Id-I", "reflected term"):
-                _check(ctx, a, g.ty, budget)
+            _premise_check("Id-I", "reflected term", ctx, a, g.ty, budget)
             with _premise("Id-I", "equation"):
                 _eq_term_in(ctx, a, g.lhs, budget)
                 _eq_term_in(ctx, a, g.rhs, budget)
@@ -408,23 +418,18 @@ def _check(ctx: Context, t: PreTerm, goal: PreTerm, budget: Budget) -> None:
             cov = g.code if isinstance(g, TDec) else None
             if not isinstance(cov, CovHat):
                 raise CheckFailure(rule, f"{kw} against {to_src(g)}")
-            with _premise(rule, "element a"):
-                _check(ctx, a, TDec(cov.base), budget)
+            _premise_check(rule, "element a", ctx, a, TDec(cov.base), budget)
             with _premise(rule, "a is not the covered element"):
                 _eq_term_in(ctx, a, cov.elem, budget)
             if isinstance(t, Rf):
-                with _premise(rule, "r does not check against a eps v"):
-                    _check(ctx, t.mem, TDec(Ap(cov.sub, a)), budget)
+                _premise_check(rule, "r does not check against a eps v", ctx, t.mem,
+                               TDec(Ap(cov.sub, a)), budget)
                 return
-            with _premise(rule, "index j"):
-                _check(ctx, t.idx, TDec(instantiate(cov.idx, (a,))), budget)
-            c_at = instantiate(cov.cov, (a, t.idx))
-            z = fresh_name("z")
-            r_ty = pi_(z, TDec(cov.base),
-                       arrow(TDec(Ap(c_at, FVar(z))), _cover_at(g, FVar(z))))
-            with _premise(rule, "r does not check against "
-                                "(Pi z : T(s)) (z eps c(a,j) -> z cov v)"):
-                _check(ctx, t.fn, r_ty, budget)
+            _premise_check(rule, "index j", ctx, t.idx, TDec(instantiate(cov.idx, (a,))),
+                           budget)
+            _premise_check(rule, "r does not check against "
+                                 "(Pi z : T(s)) (z eps c(a,j) -> z cov v)", ctx, t.fn,
+                           _covering_fn(g, instantiate(cov.cov, (a, t.idx))), budget)
         case NatRec() | UnitRec() | EmptyRec() | Split() | When() | ListRec() \
                 | IdPeel() | Ind():
             _check_elim(ctx, t, goal, budget)
@@ -434,84 +439,72 @@ def _check(ctx: Context, t: PreTerm, goal: PreTerm, budget: Budget) -> None:
                 _eq_type(ctx, inferred, goal, budget)
 
 
-def _checked_motive(ctx: Context, rule: str, goal: PreTerm, scrut: PreTerm,
-                    ty: PreTerm, hint: str, budget: Budget) -> tuple[str, PreTerm]:
-    """A fresh variable of type ty and the goal abstracted over the scrutinee
-    as that variable, checked to be a type."""
-    x = fresh_name(hint)
-    p = abstract_out(goal, scrut, x)
+def _motive(ctx: Context, rule: str, goal: PreTerm, binders: tuple,
+            budget: Budget) -> PreTerm:
+    """The goal with each (name, subterm, type) binder's subterm abstracted out
+    as that name, the last binder first, checked to be a type under them all."""
+    for x, sub, _ in reversed(binders):
+        goal = abstract_out(goal, sub, x)
+    for x, _, ty in binders:
+        ctx = ctx.extend(x, ty)
     with _premise(rule, "motive"):
-        _wf_type(ctx.extend(x, ty), p, budget)
-    return x, p
+        _wf_type(ctx, goal, budget)
+    return goal
 
 
 def _check_elim(ctx: Context, t: PreTerm, goal: PreTerm, budget: Budget) -> None:
     match t:
         case NatRec(n, z, s):
-            with _premise("N-E", "scrutinee"):
-                _check(ctx, n, TN(), budget)
-            x, p = _checked_motive(ctx, "N-E", goal, n, TN(), "x", budget)
-            with _premise("N-E", "base case"):
-                _check(ctx, z, substitute(p, x, Zero()), budget)
-            k, r = fresh_name(t.step_hints[0]), fresh_name(t.step_hints[1])
-            ctx2 = ctx.extend(k, TN()).extend(r, substitute(p, x, FVar(k)))
-            with _premise("N-E", "step case"):
-                _check(ctx2, instantiate(s, (FVar(k), FVar(r))),
-                       substitute(p, x, Succ(FVar(k))), budget)
+            _premise_check("N-E", "scrutinee", ctx, n, TN(), budget)
+            x = fresh_name("x")
+            p = _motive(ctx, "N-E", goal, ((x, n, TN()),), budget)
+            _premise_check("N-E", "base case", ctx, z, substitute(p, x, Zero()), budget)
+            k, r = map(fresh_name, t.step_hints)
+            _premise_check("N-E", "step case", ctx, s, substitute(p, x, Succ(FVar(k))),
+                           budget, ((k, TN()), (r, substitute(p, x, FVar(k)))))
         case UnitRec(c, d):
-            with _premise("N1-E", "scrutinee"):
-                _check(ctx, c, TN1(), budget)
-            x, p = _checked_motive(ctx, "N1-E", goal, c, TN1(), "x", budget)
-            with _premise("N1-E", "base case"):
-                _check(ctx, d, substitute(p, x, Star()), budget)
+            _premise_check("N1-E", "scrutinee", ctx, c, TN1(), budget)
+            x = fresh_name("x")
+            p = _motive(ctx, "N1-E", goal, ((x, c, TN1()),), budget)
+            _premise_check("N1-E", "base case", ctx, d, substitute(p, x, Star()), budget)
         case EmptyRec(c):
-            with _premise("N0-E", "scrutinee"):
-                _check(ctx, c, TN0(), budget)
+            _premise_check("N0-E", "scrutinee", ctx, c, TN0(), budget)
         case Split(c, d):
             tc = _infer_scrut(ctx, c, "Sigma-E", budget, TSigma)
-            z, p = _checked_motive(ctx, "Sigma-E", goal, c, tc, "z", budget)
-            a, b = fresh_name(t.body_hints[0]), fresh_name(t.body_hints[1])
-            ctx2 = ctx.extend(a, tc.dom).extend(b, instantiate(tc.cod, (FVar(a),)))
-            with _premise("Sigma-E", "branch"):
-                _check(ctx2, instantiate(d, (FVar(a), FVar(b))),
-                       substitute(p, z, Pair(FVar(a), FVar(b))), budget)
+            z = fresh_name("z")
+            p = _motive(ctx, "Sigma-E", goal, ((z, c, tc),), budget)
+            a, b = map(fresh_name, t.body_hints)
+            _premise_check("Sigma-E", "branch", ctx, d,
+                           substitute(p, z, Pair(FVar(a), FVar(b))), budget,
+                           ((a, tc.dom), (b, instantiate(tc.cod, (FVar(a),)))))
         case When(c, l, r):
             tc = _infer_scrut(ctx, c, "Sum-E", budget, TSum)
-            z, p = _checked_motive(ctx, "Sum-E", goal, c, tc, "z", budget)
+            z = fresh_name("z")
+            p = _motive(ctx, "Sum-E", goal, ((z, c, tc),), budget)
             a = fresh_name(t.left_hint)
-            with _premise("Sum-E", "left branch"):
-                _check(ctx.extend(a, tc.left), instantiate(l, (FVar(a),)),
-                       substitute(p, z, Inl(FVar(a))), budget)
+            _premise_check("Sum-E", "left branch", ctx, l, substitute(p, z, Inl(FVar(a))),
+                           budget, ((a, tc.left),))
             b = fresh_name(t.right_hint)
-            with _premise("Sum-E", "right branch"):
-                _check(ctx.extend(b, tc.right), instantiate(r, (FVar(b),)),
-                       substitute(p, z, Inr(FVar(b))), budget)
+            _premise_check("Sum-E", "right branch", ctx, r, substitute(p, z, Inr(FVar(b))),
+                           budget, ((b, tc.right),))
         case ListRec(c, d, e):
             tc = _infer_scrut(ctx, c, "List-E", budget, TList)
-            z, p = _checked_motive(ctx, "List-E", goal, c, tc, "z", budget)
-            with _premise("List-E", "nil case"):
-                _check(ctx, d, substitute(p, z, Nil()), budget)
-            tl, hd, pr = (fresh_name(h) for h in t.step_hints)
-            ctx2 = (ctx.extend(tl, tc).extend(hd, tc.elem)
-                    .extend(pr, substitute(p, z, FVar(tl))))
-            with _premise("List-E", "cons case"):
-                _check(ctx2, instantiate(e, (FVar(tl), FVar(hd), FVar(pr))),
-                       substitute(p, z, Cons(FVar(tl), FVar(hd))), budget)
+            z = fresh_name("z")
+            p = _motive(ctx, "List-E", goal, ((z, c, tc),), budget)
+            _premise_check("List-E", "nil case", ctx, d, substitute(p, z, Nil()), budget)
+            tl, hd, pr = map(fresh_name, t.step_hints)
+            _premise_check("List-E", "cons case", ctx, e,
+                           substitute(p, z, Cons(FVar(tl), FVar(hd))), budget,
+                           ((tl, tc), (hd, tc.elem), (pr, substitute(p, z, FVar(tl)))))
         case IdPeel(c, d):
             tc = _infer_scrut(ctx, c, "Id-E", budget, TId)
             u, y, x = fresh_name("u"), fresh_name("y"), fresh_name("x")
-            p = abstract_out(abstract_out(abstract_out(goal, c, u), tc.rhs, y),
-                             tc.lhs, x)
-            ctx_p = (ctx.extend(x, tc.ty).extend(y, tc.ty)
-                     .extend(u, TId(tc.ty, FVar(x), FVar(y))))
-            with _premise("Id-E", "motive"):
-                _wf_type(ctx_p, p, budget)
+            p = _motive(ctx, "Id-E", goal, ((x, tc.lhs, tc.ty), (y, tc.rhs, tc.ty),
+                                            (u, c, TId(tc.ty, FVar(x), FVar(y)))), budget)
             xd = fresh_name(t.body_hint)
-            inst = substitute(substitute(substitute(p, x, FVar(xd)), y, FVar(xd)),
-                              u, Refl(FVar(xd)))
-            with _premise("Id-E", "branch"):
-                _check(ctx.extend(xd, tc.ty), instantiate(d, (FVar(xd),)),
-                       inst, budget)
+            _premise_check("Id-E", "branch", ctx, d,
+                           substitute(substitute(substitute(p, x, FVar(xd)), y, FVar(xd)),
+                                      u, Refl(FVar(xd))), budget, ((xd, tc.ty),))
         case Ind(m, q1, q2):
             tm = _infer_scrut(ctx, m, "ind-cov", budget)
             cov = tm.code if isinstance(tm, TDec) else None
@@ -519,37 +512,24 @@ def _check_elim(ctx: Context, t: PreTerm, goal: PreTerm, budget: Budget) -> None
                 raise CheckFailure("ind-cov",
                                    f"scrutinee has type {to_src(tm)}, "
                                    f"which is not a cover")
-            s, i, c, v = cov.base, cov.idx, cov.cov, cov.sub
+            ts = TDec(cov.base)
             u, x = fresh_name("u"), fresh_name("x")
-            p = abstract_out(abstract_out(goal, m, u), cov.elem, x)
-            ctx_p = ctx.extend(x, TDec(s)).extend(u, _cover_at(tm, FVar(x)))
-            with _premise("ind-cov", "motive"):
-                _wf_type(ctx_p, p, budget)
-
-            def p_at(xt: PreTerm, ut: PreTerm) -> PreTerm:
-                return substitute(substitute(p, x, xt), u, ut)
-
-            xq, w = fresh_name(t.base_hints[0]), fresh_name(t.base_hints[1])
-            ctx1 = ctx.extend(xq, TDec(s)).extend(w, TDec(Ap(v, FVar(xq))))
-            with _premise("ind-cov", "rf branch q1"):
-                _check(ctx1, instantiate(q1, (FVar(xq), FVar(w))),
-                       p_at(FVar(xq), Rf(FVar(xq), FVar(w))), budget)
-
-            x2, h, k, f = (fresh_name(hh) for hh in t.step_hints)
-            c_at = instantiate(c, (FVar(x2), FVar(h)))
-            z = fresh_name("z")
-            k_ty = pi_(z, TDec(s),
-                       arrow(TDec(Ap(c_at, FVar(z))), _cover_at(tm, FVar(z))))
-            uu = fresh_name("u")
-            f_ty = pi_(z, TDec(s),
-                       pi_(uu, TDec(Ap(c_at, FVar(z))),
-                           p_at(FVar(z), Ap(Ap(FVar(k), FVar(z)), FVar(uu)))))
-            ctx2 = (ctx.extend(x2, TDec(s))
-                    .extend(h, TDec(instantiate(i, (FVar(x2),))))
-                    .extend(k, k_ty).extend(f, f_ty))
-            with _premise("ind-cov", "tr branch q2"):
-                _check(ctx2, instantiate(q2, (FVar(x2), FVar(h), FVar(k), FVar(f))),
-                       p_at(FVar(x2), Tr(FVar(x2), FVar(h), FVar(k))), budget)
+            p = _motive(ctx, "ind-cov", goal,
+                        ((x, cov.elem, ts), (u, m, _cover_at(tm, FVar(x)))), budget)
+            xq, w = map(fresh_name, t.base_hints)
+            _premise_check("ind-cov", "rf branch q1", ctx, q1,
+                           substitute(substitute(p, x, FVar(xq)), u, Rf(FVar(xq), FVar(w))),
+                           budget, ((xq, ts), (w, TDec(Ap(cov.sub, FVar(xq))))))
+            x2, h, k, f = map(fresh_name, t.step_hints)
+            c_at = instantiate(cov.cov, (FVar(x2), FVar(h)))
+            z, uu = fresh_name("z"), fresh_name("u")
+            f_ty = pi_(z, ts, pi_(uu, TDec(Ap(c_at, FVar(z))), substitute(
+                substitute(p, x, FVar(z)), u, Ap(Ap(FVar(k), FVar(z)), FVar(uu)))))
+            _premise_check("ind-cov", "tr branch q2", ctx, q2,
+                           substitute(substitute(p, x, FVar(x2)), u,
+                                      Tr(FVar(x2), FVar(h), FVar(k))), budget,
+                           ((x2, ts), (h, TDec(instantiate(cov.idx, (FVar(x2),)))),
+                            (k, _covering_fn(tm, c_at)), (f, f_ty)))
         case _:
             raise AssertionError(type(t))
 

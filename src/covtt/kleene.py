@@ -573,17 +573,20 @@ def ct_realizer() -> int:
     return CT_REALIZER
 
 
-def ct_check(fn_code: int, xmax: int = 20, fuel: int = DEFAULT_FUEL) -> bool:
+CT_XMAX = 20
+
+
+def ct_check(fn_code: int, fuel: int = DEFAULT_FUEL) -> bool:
     """Pointwise check of the realizer against one function realizer.
 
-    Extracts pair(e, w) = {CT_REALIZER}(fn_code) and verifies, for each
-    x <= xmax, that {w}(x) = pair(z, r) with T(e, x, z), U(z) = {fn_code}(x),
-    and r = U(z).
+    Extracts pair(e, w) = {CT_REALIZER}(fn_code) and verifies, for each x in
+    0..20 (0..CT_XMAX), that {w}(x) = pair(z, r) with T(e, x, z),
+    U(z) = {fn_code}(x), and r = U(z).
     """
     budget = Budget(fuel)
     ew = apply(CT_REALIZER, fn_code, budget)
     e, w = unpair(ew)
-    for x in range(xmax + 1):
+    for x in range(CT_XMAX + 1):
         zr = apply(w, x, budget)
         z, r = unpair(zr)
         if not kleene_T(e, x, z):

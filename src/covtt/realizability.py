@@ -864,14 +864,14 @@ def realize(t: PreTerm, fuel: int = DEFAULT_FUEL) -> int | KTerm:
     return eval_kterm(kt, {}, fuel)
 
 
-def ct_validate(fn: PreTerm, xmax: int = 20, fuel: int = DEFAULT_FUEL) -> Tri:
+def ct_validate(fn: PreTerm, fuel: int = DEFAULT_FUEL) -> Tri:
     """Check the Church's-thesis realizer against one closed function term."""
     kt = interpret_term(fn)
     if K.kvars(kt):
         return no("the function term must be closed")
     try:
         e = eval_kterm(kt, {}, fuel)
-        ok = K.ct_check(e, xmax=xmax, fuel=fuel)
+        ok = K.ct_check(e, fuel=fuel)
     except Diverged:
         return FUEL
     return YES if ok else no("a pointwise check failed")

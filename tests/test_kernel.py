@@ -142,6 +142,8 @@ def test_motive_synthesis_dependent():
     ok("term [p : Sigma x : N . N] |- split(p; a b . pair(b, a)) : Sigma x : N . N")
     ok("term [n : N] |- natrec(n; refl(0); k r . refl(succ(k))) "
        ": Id(N, n, n)")
+    # a refl scrutinee's type is inferred from its term, here star : N1
+    ok("term [] |- idpeel(refl(star); x . x) : N1")
 
 
 def test_eliminators_need_inferable_scrutinee():
@@ -230,7 +232,8 @@ _C = "T(cov(nhat; x . n1hat; x y . lam z . n0hat; 0; lam z . n1hat))"
 _UNIFY = "inferred type does not match the goal: "
 
 # One rejected judgment per premise of every formation rule, every
-# code-formation rule, F-cov, and the rf/tr guards and premises; then the
+# code-formation rule, F-cov, the rf/tr guards and premises, and every guard,
+# premise and motive of the introduction and elimination rules; then the
 # order of check_judgment (context, types, the judgment's own check) and
 # premises nested inside premises.  Each with its full "[rule] reason".
 PREMISE_REPORTS = [
@@ -298,6 +301,107 @@ PREMISE_REPORTS = [
      "[tr-cov] r does not check against (Pi z : T(s)) (z eps c(a,j) -> z cov v): "
      "star against Pi z : T(nhat) . T(Ap(lam z1 . n0hat, z)) -> "
      "T(cov(nhat; x . n1hat; x y . lam z1 . n0hat; z; lam z1 . n1hat))"),
+    ("term [] |- tr(0, star, lam z . star) : " + _C,
+     "[tr-cov] r does not check against (Pi z : T(s)) (z eps c(a,j) -> z cov v): "
+     "star against T(Ap(lam z1 . n0hat, z)) -> "
+     "T(cov(nhat; x . n1hat; x y . lam z1 . n0hat; z; lam z1 . n1hat))"),
+    # introduction rules: each guard, then each premise in order
+    ("term [] |- lam x . x : N", "[Pi-I] lambda against N"),
+    ("term [] |- pair(0, 0) : N", "[Sigma-I] pair against N"),
+    ("term [] |- pair(star, 0) : Sigma x : N . N",
+     "[Sigma-I] first component: star against N"),
+    ("term [] |- pair(0, star) : Sigma x : N . N",
+     "[Sigma-I] second component: star against N"),
+    ("term [] |- inl(0) : N", "[Sum-I] injection against N"),
+    ("term [] |- inl(star) : Sum(N, N)", "[Sum-I] injected term: star against N"),
+    ("term [] |- inr(0) : Sum(N, N1)", "[Sum-I] injected term: numeral against N1"),
+    ("term [] |- nil : N", "[List-I] nil against N"),
+    ("term [] |- cons(nil, 0) : N", "[List-I] cons against N"),
+    ("term [] |- cons(0, 0) : List(N)", "[List-I] list part: numeral against List(N)"),
+    ("term [] |- cons(nil, star) : List(N)", "[List-I] element part: star against N"),
+    ("term [] |- 0 : N1", "[N-I] numeral against N1"),
+    ("term [] |- succ(star) : N", "[N-I] argument of succ: star against N"),
+    ("term [] |- star : N", "[N1-I] star against N"),
+    ("term [] |- refl(0) : N", "[Id-I] refl against N"),
+    ("term [] |- refl(star) : Id(N, 0, 0)", "[Id-I] reflected term: star against N"),
+    ("term [] |- refl(0) : Id(N, 0, 1)", "[Id-I] equation: 0 and 1 differ"),
+    ("term [] |- Ap(0, 0) : N",
+     "[Ap] applied term has type N, which is not a Pi type"),
+    ("term [f : N -> N] |- Ap(f, star) : N", "[Ap] argument: star against N"),
+    ("term [] |- Ap(lam x . x, 0) : N", "[infer] no type can be inferred for lam x . x"),
+    ("term [n : N] |- n : N1", "[conv] " + _UNIFY + "N and N1 differ"),
+    # elimination rules: scrutinee, motive, then each branch in order.  A
+    # motive fails where the goal converts only through the scrutinee itself.
+    ("term [] |- natrec(star; 0; k r . r) : N", "[N-E] scrutinee: star against N"),
+    ("term [] |- natrec(0; refl(5); k r . r) : "
+     "Id(T(natrec(0; nhat; k r . n1hat)), 5, 5)",
+     "[N-E] motive: endpoint: numeral against T(natrec(x; nhat; k r . n1hat))"),
+    ("term [] |- natrec(0; star; k r . r) : N", "[N-E] base case: star against N"),
+    ("term [] |- natrec(0; 0; k r . star) : N", "[N-E] step case: star against N"),
+    ("term [] |- unitrec(0; 0) : N", "[N1-E] scrutinee: numeral against N1"),
+    ("term [] |- unitrec(star; refl(0)) : Id(T(unitrec(star; nhat)), 0, 0)",
+     "[N1-E] motive: endpoint: numeral against T(unitrec(x; nhat))"),
+    ("term [] |- unitrec(star; star) : N", "[N1-E] base case: star against N"),
+    ("term [] |- emptyrec(0) : N", "[N0-E] scrutinee: numeral against N0"),
+    ("term [] |- split(0; a b . a) : N", "[Sigma-E] scrutinee has type N"),
+    ("term [] |- split(lam x . x; a b . a) : N",
+     "[Sigma-E] scrutinee type cannot be inferred: "
+     "no type can be inferred for lam x . x"),
+    ("term [f : N -> Sigma x : N . N, "
+     "e : T(split(Ap(f, natrec(0; 0; k r . k)); a b . nhat))] |- "
+     "split(Ap(f, 0); a b . refl(e)) : Id(T(split(Ap(f, 0); a b . nhat)), e, e)",
+     "[Sigma-E] motive: endpoint: " + _UNIFY
+     + "Ap(f, natrec(0; 0; k r . k)) and z differ"),
+    ("term [p : Sigma x : N . N] |- split(p; a b . star) : N",
+     "[Sigma-E] branch: star against N"),
+    ("term [] |- when(0; a . a; b . b) : N", "[Sum-E] scrutinee has type N"),
+    ("term [f : N -> Sum(N, N), "
+     "e : T(when(Ap(f, natrec(0; 0; k r . k)); a . nhat; b . nhat))] |- "
+     "when(Ap(f, 0); a . refl(e); b . refl(e)) : "
+     "Id(T(when(Ap(f, 0); a . nhat; b . nhat)), e, e)",
+     "[Sum-E] motive: endpoint: " + _UNIFY
+     + "Ap(f, natrec(0; 0; k r . k)) and z differ"),
+    ("term [s : Sum(N, N1)] |- when(s; a . star; b . 0) : N",
+     "[Sum-E] left branch: star against N"),
+    ("term [s : Sum(N, N1)] |- when(s; a . a; b . b) : N",
+     "[Sum-E] right branch: " + _UNIFY + "N1 and N differ"),
+    ("term [] |- listrec(0; 0; a b c . c) : N", "[List-E] scrutinee has type N"),
+    ("term [f : N -> List(N), "
+     "e : T(listrec(Ap(f, natrec(0; 0; k r . k)); nhat; a b c . nhat))] |- "
+     "listrec(Ap(f, 0); refl(e); a b c . refl(e)) : "
+     "Id(T(listrec(Ap(f, 0); nhat; a b c . nhat)), e, e)",
+     "[List-E] motive: endpoint: " + _UNIFY
+     + "Ap(f, natrec(0; 0; k r . k)) and z differ"),
+    ("term [l : List(N)] |- listrec(l; star; a b c . c) : N",
+     "[List-E] nil case: star against N"),
+    ("term [l : List(N)] |- listrec(l; 0; a b c . star) : N",
+     "[List-E] cons case: star against N"),
+    ("term [] |- idpeel(0; x . x) : N", "[Id-E] scrutinee has type N"),
+    ("term [] |- idpeel(lam x . x; x . x) : N",
+     "[Id-E] scrutinee type cannot be inferred: "
+     "no type can be inferred for lam x . x"),
+    # the motive abstracts both endpoints, so they must not be told apart
+    ("term [] |- idpeel(refl(0); x . refl(refl(x))) : "
+     "Id(Id(N, 0, 0), refl(0), refl(0))",
+     "[Id-E] motive: endpoint: " + _UNIFY + "variables x and y differ"),
+    ("term [e : Id(N, 0, 0)] |- idpeel(e; x . star) : N",
+     "[Id-E] branch: star against N"),
+    ("term [] |- ind(0; x w . 0; x h k f . 0) : N",
+     "[ind-cov] scrutinee has type N, which is not a cover"),
+    ("term [] |- ind(lam x . x; x w . 0; x h k f . 0) : N",
+     "[ind-cov] scrutinee type cannot be inferred: "
+     "no type can be inferred for lam x . x"),
+    ("term [m : " + _C + "] |- ind(m; x w . refl(5); x h k f . refl(5)) : "
+     "Id(T(natrec(0; nhat; k r . n1hat)), 5, 5)",
+     "[ind-cov] motive: endpoint: numeral against T(natrec(x; nhat; k r . n1hat))"),
+    ("term [m : " + _C + "] |- ind(m; x w . star; x h k f . 0) : N",
+     "[ind-cov] rf branch q1: star against N"),
+    ("term [m : " + _C + "] |- ind(m; x w . 0; x h k f . star) : N",
+     "[ind-cov] tr branch q2: star against N"),
+    ("term [m : " + _C + "] |- ind(m; x w . 0; x h k f . Ap(f, star)) : N",
+     "[ind-cov] tr branch q2: argument: star against N"),
+    ("termeq [n : N] |- natrec(n; 0; k r . k) == natrec(n; 0; k r . r) : N",
+     "[eq-term] binder bodies at NatRec.step are not alpha-equal"),
     ("type [x : T(star)] |- N",
      "[T-F] context entry x: code is not an element of U0: star against U0"),
     ("typeeq [] |- T(star) == N",
@@ -375,17 +479,33 @@ def test_motive_abstraction_without_recursion(tmp_path):
     assert out.getvalue() == "1: accepted\n"
 
 
-def test_grammar_doc_lists_the_formation_premises():
+def _grammar_doc_premise_tables():
+    """The rows (rule, former keyword, labels) of each premise-label table
+    in the Reports section of docs/grammar.md."""
     import re
     from pathlib import Path
-    from covtt.kernel import _FORMATION
-    from covtt.syntax import _FORMS, _TYPE_FORMS, TPi, TSigma
     doc = (Path(__file__).resolve().parent.parent / "docs" / "grammar.md").read_text()
     reports = doc.split("## Reports", 1)[1]
-    rows = re.findall(r"^\|\s*([\w-]+)\s*\|\s*`(\w+)[^`]*`\s*\|([^|]*)\|$",
-                      reports, re.M)
+    row = re.compile(r"^\|\s*([\w-]+)\s*\|\s*`(\w+)[^|]*\|([^|]*)\|$", re.M)
+    return [[(rule, kw, [w.strip() for w in labels.split(", ")])
+             for rule, kw, labels in row.findall(table)]
+            for table in re.findall(r"(?:^\|.*\|\n)+", reports, re.M)]
+
+
+def test_grammar_doc_lists_the_formation_premises():
+    from covtt.kernel import _FORMATION
+    from covtt.syntax import _FORMS, _TYPE_FORMS, TPi, TSigma
     former = {"Sigma": TSigma, "Pi": TPi,
               **{kw: cls for kw, (cls, _) in {**_FORMS, **_TYPE_FORMS}.items()}}
-    got = {former[kw]: (rule, *(w.strip() for w in labels.split(",")))
-           for rule, kw, labels in rows}
-    assert got == _FORMATION
+    rows = _grammar_doc_premise_tables()[0]
+    assert {former[kw]: (rule, *labels) for rule, kw, labels in rows} == _FORMATION
+
+
+def test_grammar_doc_premise_labels_are_the_reported_ones():
+    # every label the second table lists is a report pinned in PREMISE_REPORTS
+    rows = _grammar_doc_premise_tables()[1]
+    assert len(rows) == 17
+    reported = [want for _, want in PREMISE_REPORTS]
+    for rule, _, labels in rows:
+        for label in labels:
+            assert any(w.startswith(f"[{rule}] {label}: ") for w in reported), (rule, label)

@@ -304,6 +304,53 @@ def test_a_query_cut_short_keeps_only_pending_answers(monkeypatch):
     assert model._cover_memo == {}
 
 
+def test_fuel_sites_answer_unknown_and_keep_the_budget():
+    """Each application that runs out inside the cover conditions or the
+    demand-driven cover check makes the answer unknown(fuel); the steps
+    left are pinned, so a rewrite of these loops must charge the same."""
+    lam_n1 = eval_kterm(K.lambda_abstract(N1_CODE, "q"))    # {lam_n1}(q) = N1
+    lam3_n1 = eval_kterm(K.lambda_abstract_many(N1_CODE, ["a", "b", "c"]))
+    div = pair(999, 0)                                      # never halts
+    cases = [
+        # _star_conditions: the index family i, then the covering family c
+        (lambda m: m.set_at(cov_code(0, lam_n1, N1_CODE, div, lam_n1), 2), 999_997),
+        (lambda m: m.set_at(cov_code(0, lam_n1, N1_CODE, lam_n1, div), 2), 999_996),
+        # in_cover: v on an rf proof; i, c and the proof's r on a tr proof
+        (lambda m: m.mem_at(rf_code(0, 0), cov_code(0, div, N1_CODE, lam_n1, lam_n1),
+                            2), 999_993),
+        (lambda m: m.mem_at(tr_code(0, 0, 0), cov_code(0, lam_n1, N1_CODE, div, lam_n1),
+                            2), 999_996),
+        (lambda m: m.mem_at(tr_code(0, 0, 0), cov_code(0, lam_n1, N1_CODE, lam_n1, div),
+                            2), 999_994),
+        (lambda m: m.mem_at(tr_code(0, 0, div),
+                            cov_code(0, lam_n1, N1_CODE, lam_n1, lam3_n1), 2), 999_989),
+        # in_cover at depth 0 runs nothing
+        (lambda m: m.in_cover(N1_CODE, lam_n1, lam_n1, lam_n1, 2, 0, rf_code(0, 0), 0),
+         10 ** 6),
+    ]
+    for query, left in cases:
+        model = Model()
+        assert (str(query(model)), model.budget.steps) == ("unknown(fuel)", left)
+
+
+def test_table_memo_drops_the_oldest_table(monkeypatch):
+    monkeypatch.setattr(R, "_TABLES", {})
+    tables = [{0: n} for n in range(R._TABLES_CAP + 1)]
+    first = Model()
+    built = first._table_code(tables[0])
+    cost = 10 ** 6 - first.budget.steps
+    for table in tables[1:]:
+        Model()._table_code(table)
+    assert len(R._TABLES) == R._TABLES_CAP
+    assert ((0, 0),) not in R._TABLES and ((0, 1),) in R._TABLES
+    # the dropped table is rebuilt at its first cost, and drops the next oldest
+    again = Model()
+    assert again._table_code(tables[0]) == built
+    assert 10 ** 6 - again.budget.steps == cost and (built, cost) == _table_cost(tables[0])
+    assert ((0, 1),) not in R._TABLES and ((0, 0),) in R._TABLES
+    assert len(R._TABLES) == R._TABLES_CAP
+
+
 def _persistence_replay(models):
     """test_persistence_of_stages' queries on its first 50 codes, in its
     order: one line per query with the verdict and the budget left after it.
