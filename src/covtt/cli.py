@@ -110,10 +110,7 @@ def cmd_verify(args, out) -> int:
 
 
 def cmd_cover(args, out) -> int:
-    try:
-        ax, queries = covers.parse_axiom_file(_read(args.file))
-    except covers.SchemaError as e:
-        raise SystemExit2(str(e))
+    ax, queries = covers.parse_axiom_file(_read(args.file))
     if args.query:
         try:
             queries.append(covers.parse_query(args.query.split(), ax.carrier))
@@ -136,10 +133,10 @@ def cmd_cover(args, out) -> int:
 
 
 def cmd_wp(args, out) -> int:
+    rel, carrier = covers.parse_relation_file(_read(args.file))
     try:
-        rel, carrier = covers.parse_relation_file(_read(args.file))
         wp = covers.well_founded_part(rel, carrier)
-    except (covers.SchemaError, ValueError) as e:
+    except ValueError as e:
         raise SystemExit2(str(e))
     listing = " ".join(sorted(map(str, wp)))
     _emit(out, {"well_founded_part": sorted(map(str, wp)),
@@ -264,10 +261,7 @@ def main(argv=None, out=None) -> int:
     args.structured = args.format == "structured"
     try:
         return args.fn(args, out)
-    except SystemExit2 as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INPUT
-    except SyntaxError_ as e:
+    except (SystemExit2, SyntaxError_, covers.SchemaError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -16,8 +16,6 @@ Rejections carry the name of the rule whose premise failed.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-
 from .kleene import DEFAULT_FUEL, Budget, Diverged
 # field signatures drive the congruence recursion and the decoding of T(code)
 from .syntax import _HINTS, _SIG, _TYPE_PARTS
@@ -48,29 +46,26 @@ class CheckResult(Record):
 _records(CheckResult)
 
 
-@contextmanager
-def _premise(rule: str, what: str):
-    """Attribute a failing premise to the rule being applied."""
+def _premise(rule: str, label: str, judge, *args):
+    """One premise of rule: judge(*args), whose failure is reported as
+    rule: label.  Premises nest, so the outermost rule is the one reported."""
     try:
-        yield
+        return judge(*args)
     except CheckFailure as e:
-        raise CheckFailure(rule, f"{what}: {e.msg}") from None
+        raise CheckFailure(rule, f"{label}: {e.msg}") from None
 
 
 def _premise_check(rule: str, label: str, ctx: Context, t: PreTerm, goal: PreTerm,
                    budget: Budget, binders: tuple = ()) -> None:
-    """One premise of rule: t, under the (name, type) binders in order, checks
-    against goal; a failure is reported as rule: label."""
+    """The typing premise of rule that t, under the (name, type) binders in
+    order, checks against goal."""
     if binders:
         xs = []
         for x, ty in binders:
             ctx = ctx.extend(x, ty)
             xs.append(FVar(x))
         t = instantiate(t, tuple(xs))
-    try:                        # not _premise: its generator costs on every premise
-        _check(ctx, t, goal, budget)
-    except CheckFailure as e:
-        raise CheckFailure(rule, f"{label}: {e.msg}") from None
+    _premise(rule, label, _check, ctx, t, goal, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -291,14 +286,15 @@ def _wf_type(ctx: Context, a: PreTerm, budget: Budget) -> None:
     parts = [getattr(a, name) for name, _ in _SIG[cls]]
     for part, (_, arity), is_type, label in zip(parts, _SIG[cls], _TYPE_PARTS[cls],
                                                 labels):
-        with _premise(rule, label):
-            if arity:
-                x = fresh_name(getattr(a, next(hints)))
-                _wf_type(ctx.extend(x, parts[0]), instantiate(part, (FVar(x),)), budget)
-            elif is_type:
-                _wf_type(ctx, part, budget)
-            else:
-                _check(ctx, part, parts[0] if _TYPE_PARTS[cls][0] else TU0(), budget)
+        if arity:
+            x = fresh_name(getattr(a, next(hints)))
+            _premise(rule, label, _wf_type, ctx.extend(x, parts[0]),
+                     instantiate(part, (FVar(x),)), budget)
+        elif is_type:
+            _premise(rule, label, _wf_type, ctx, part, budget)
+        else:
+            _premise_check(rule, label, ctx, part,
+                           parts[0] if _TYPE_PARTS[cls][0] else TU0(), budget)
 
 
 # ---------------------------------------------------------------------------
@@ -410,17 +406,16 @@ def _check(ctx: Context, t: PreTerm, goal: PreTerm, budget: Budget) -> None:
             if not isinstance(g, TId):
                 raise CheckFailure("Id-I", f"refl against {to_src(g)}")
             _premise_check("Id-I", "reflected term", ctx, a, g.ty, budget)
-            with _premise("Id-I", "equation"):
-                _eq_term_in(ctx, a, g.lhs, budget)
-                _eq_term_in(ctx, a, g.rhs, budget)
+            _premise("Id-I", "equation", _eq_term_in, ctx, a, g.lhs, budget)
+            _premise("Id-I", "equation", _eq_term_in, ctx, a, g.rhs, budget)
         case Rf(a) | Tr(a):
             kw, rule = ("rf", "rf-cov") if isinstance(t, Rf) else ("tr", "tr-cov")
             cov = g.code if isinstance(g, TDec) else None
             if not isinstance(cov, CovHat):
                 raise CheckFailure(rule, f"{kw} against {to_src(g)}")
             _premise_check(rule, "element a", ctx, a, TDec(cov.base), budget)
-            with _premise(rule, "a is not the covered element"):
-                _eq_term_in(ctx, a, cov.elem, budget)
+            _premise(rule, "a is not the covered element", _eq_term_in, ctx, a, cov.elem,
+                     budget)
             if isinstance(t, Rf):
                 _premise_check(rule, "r does not check against a eps v", ctx, t.mem,
                                TDec(Ap(cov.sub, a)), budget)
@@ -434,9 +429,8 @@ def _check(ctx: Context, t: PreTerm, goal: PreTerm, budget: Budget) -> None:
                 | IdPeel() | Ind():
             _check_elim(ctx, t, goal, budget)
         case _:
-            inferred = _infer(ctx, t, budget)
-            with _premise("conv", "inferred type does not match the goal"):
-                _eq_type(ctx, inferred, goal, budget)
+            _premise("conv", "inferred type does not match the goal", _eq_type, ctx,
+                     _infer(ctx, t, budget), goal, budget)
 
 
 def _motive(ctx: Context, rule: str, goal: PreTerm, binders: tuple,
@@ -447,8 +441,7 @@ def _motive(ctx: Context, rule: str, goal: PreTerm, binders: tuple,
         goal = abstract_out(goal, sub, x)
     for x, _, ty in binders:
         ctx = ctx.extend(x, ty)
-    with _premise(rule, "motive"):
-        _wf_type(ctx, goal, budget)
+    _premise(rule, "motive", _wf_type, ctx, goal, budget)
     return goal
 
 
@@ -537,11 +530,8 @@ def _check_elim(ctx: Context, t: PreTerm, goal: PreTerm, budget: Budget) -> None
 def _infer_scrut(ctx: Context, c: PreTerm, rule: str, budget: Budget,
                  former: type | None = None) -> PreTerm:
     """The head normal type of a scrutinee, which must have the given former."""
-    try:
-        tc = whnf_type(_infer(ctx, c, budget), budget)
-    except CheckFailure as e:
-        raise CheckFailure(rule, f"scrutinee type cannot be inferred: {e.msg}") \
-            from None
+    tc = whnf_type(_premise(rule, "scrutinee type cannot be inferred", _infer, ctx, c,
+                            budget), budget)
     if former is not None and not isinstance(tc, former):
         raise CheckFailure(rule, f"scrutinee has type {to_src(tc)}")
     return tc

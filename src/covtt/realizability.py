@@ -45,9 +45,6 @@ SCAN_CAP = 8
 # exact enumerations are kept whole up to this many members (or members_cap,
 # if larger); past it they are truncated and marked inexact like any other
 EXACT_CAP = 4 * DEFAULT_BOUND
-# table codes kept across Models, oldest dropped first
-_TABLES_CAP = 256
-_TABLES: dict[tuple, tuple[int, int]] = {}    # sorted items -> (code, steps)
 # halted applications a Model keeps, and the largest result it keeps, in bits
 _APPLY_CAP = 4096
 _APPLY_BITS = 256
@@ -285,6 +282,7 @@ class Model:
         self._cover_memo: dict = {}
         self._apply_memo: dict = {}     # (e, *args) -> (result, steps)
         self._open_memo: dict = {}      # (Open, *its values) -> (result, steps)
+        self._table_memo: dict = {}     # sorted table items -> (code, steps)
 
     # -- machine helpers ----------------------------------------------------
 
@@ -685,12 +683,13 @@ class Model:
     def _table_code(self, table: dict[int, int]) -> int:
         """A code r with {r}(u, t) = table[u] (0 outside the table).
 
-        A table built before, by any Model, is reused at its first build's
-        exact step cost; a budget that cannot pay it drains as a rebuild would.
+        Tables are kept per Model, with no cap: one this Model built before is
+        reused at its first build's exact step cost, and a budget that cannot
+        pay it drains as a rebuild would.
         """
         items = tuple(sorted(table.items()))
         budget = self.budget
-        hit = _TABLES.get(items)
+        hit = self._table_memo.get(items)
         if hit is not None:
             budget.charge(hit[1])
             return hit[0]
@@ -700,9 +699,7 @@ class Model:
             body = kop(K.IFZ, kop(K.EQ, u, key), value, body)
         before = budget.steps
         r = eval_kterm(lambda_abstract_many(body, [u, t]), {}, budget)
-        if len(_TABLES) >= _TABLES_CAP:
-            del _TABLES[next(iter(_TABLES))]
-        _TABLES[items] = (r, before - budget.steps)
+        self._table_memo[items] = (r, before - budget.steps)
         return r
 
     def in_cover(self, s: int, i: int, c: int, v: int, k: int,

@@ -30,17 +30,27 @@ def test_check_empty_file(tmp_path):
     assert rc == 0 and out == ""
 
 
-def test_input_errors_exit_2(tmp_path):
-    rc, _ = run(["check", str(tmp_path / "missing.judg")])
-    assert rc == 2
-    f = tmp_path / "bad.judg"
-    f.write_text("term [] |- (x : N\n")
-    rc, _ = run(["check", str(f)])
-    assert rc == 2
-    g = tmp_path / "bad.cover"
-    g.write_text("cover a j : b\n")
-    rc, _ = run(["cover", str(g)])
-    assert rc == 2
+def test_input_errors_exit_2(tmp_path, capsys):
+    """Every input error leaves by one exit: code 2, nothing on stdout and
+    one 'error: ' line on stderr."""
+    missing = tmp_path / "missing.judg"
+    (tmp_path / "bad.judg").write_text("term [] |- (x : N\n")
+    (tmp_path / "bad.cover").write_text("cover a j : b\n")
+    (tmp_path / "ok.cover").write_text("carrier a b\nquery a <| b\n")
+    (tmp_path / "bad.rel").write_text("carrier 0 1\nrel 0 5\n")
+    cases = [
+        (["check", str(missing)], f"cannot read {missing}: [Errno 2] "
+                                  f"No such file or directory: '{missing}'"),
+        (["check", str(tmp_path / "bad.judg")], "1:13: unbound identifier 'x'"),
+        (["cover", str(tmp_path / "bad.cover")], "line 1: unknown element 'a'"),
+        (["cover", str(tmp_path / "ok.cover"), "--query", "a <| z"],
+         "--query: unknown element 'z'"),
+        (["wp", str(tmp_path / "bad.rel")], "line 2: unknown element in ['0', '5']"),
+        (["eval", "N"], "expected a term, found a type"),
+    ]
+    for argv, err in cases:
+        assert run(argv) == (2, ""), argv
+        assert capsys.readouterr().err == f"error: {err}\n", argv
 
 
 def test_structured_format(corpus_dir):

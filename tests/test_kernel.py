@@ -247,6 +247,9 @@ PREMISE_REPORTS = [
     ("type [] |- Pi x : N . T(x)",
      "[Pi-F] codomain: code is not an element of U0: " + _UNIFY
      + "N and U0 differ"),
+    # a part under its binder: the fresh variable prints by its source name
+    ("type [] |- Pi x : N . Id(Id(N, x, x), refl(0), refl(0))",
+     "[Pi-F] codomain: endpoint: equation: 0 and x differ"),
     ("type [] |- Sum(T(star), N)",
      "[Sum-F] component: code is not an element of U0: star against U0"),
     ("type [] |- Sum(N, T(star))",
@@ -325,6 +328,7 @@ PREMISE_REPORTS = [
     ("term [] |- refl(0) : N", "[Id-I] refl against N"),
     ("term [] |- refl(star) : Id(N, 0, 0)", "[Id-I] reflected term: star against N"),
     ("term [] |- refl(0) : Id(N, 0, 1)", "[Id-I] equation: 0 and 1 differ"),
+    ("term [] |- refl(0) : Id(N, 2, 1)", "[Id-I] equation: 0 and 2 differ"),
     ("term [] |- Ap(0, 0) : N",
      "[Ap] applied term has type N, which is not a Pi type"),
     ("term [f : N -> N] |- Ap(f, star) : N", "[Ap] argument: star against N"),
@@ -355,6 +359,9 @@ PREMISE_REPORTS = [
     ("term [p : Sigma x : N . N] |- split(p; a b . star) : N",
      "[Sigma-E] branch: star against N"),
     ("term [] |- when(0; a . a; b . b) : N", "[Sum-E] scrutinee has type N"),
+    ("term [] |- when(lam x . x; a . a; b . b) : N",
+     "[Sum-E] scrutinee type cannot be inferred: "
+     "no type can be inferred for lam x . x"),
     ("term [f : N -> Sum(N, N), "
      "e : T(when(Ap(f, natrec(0; 0; k r . k)); a . nhat; b . nhat))] |- "
      "when(Ap(f, 0); a . refl(e); b . refl(e)) : "
@@ -366,6 +373,9 @@ PREMISE_REPORTS = [
     ("term [s : Sum(N, N1)] |- when(s; a . a; b . b) : N",
      "[Sum-E] right branch: " + _UNIFY + "N1 and N differ"),
     ("term [] |- listrec(0; 0; a b c . c) : N", "[List-E] scrutinee has type N"),
+    ("term [] |- listrec(lam x . x; 0; a b c . c) : N",
+     "[List-E] scrutinee type cannot be inferred: "
+     "no type can be inferred for lam x . x"),
     ("term [f : N -> List(N), "
      "e : T(listrec(Ap(f, natrec(0; 0; k r . k)); nhat; a b c . nhat))] |- "
      "listrec(Ap(f, 0); refl(e); a b c . refl(e)) : "

@@ -244,7 +244,6 @@ def _table_cost(table):
 
 
 def test_table_memo_charges_exact_steps(monkeypatch):
-    monkeypatch.setattr(R, "_TABLES", {})
     builds = []
     real_abstract = R.lambda_abstract_many
 
@@ -254,28 +253,33 @@ def test_table_memo_charges_exact_steps(monkeypatch):
 
     monkeypatch.setattr(R, "lambda_abstract_many", counting)
     s, i, c, v = _gen_style_cover()
-    cold = Model()
-    got_cold = cold.cover_v(s, i, c, v, 4)
-    assert builds and R._TABLES
-    assert any(decode_set(q)[0] == "tr" for qs in got_cold[0].values() for q in qs)
-    cold_builds = len(builds)
-    warm = Model()
-    got_warm = warm.cover_v(s, i, c, v, 4)
-    assert len(builds) == cold_builds           # every table came from the memo
-    assert got_warm == got_cold
-    assert warm.budget.steps == cold.budget.steps
+    model = Model()
+    got = model.cover_v(s, i, c, v, 4)
+    assert builds and model._table_memo
+    assert any(decode_set(q)[0] == "tr" for qs in got[0].values() for q in qs)
+    first_builds, tables = len(builds), dict(model._table_memo)
+    # a second key needing the same tables builds none, and is charged what
+    # a Model that builds them pays
+    before = model.budget.steps
+    again = model.cover_v(s, i, c, v, 5)
+    assert len(builds) == first_builds and model._table_memo == tables
+    fresh = Model()
+    assert fresh.cover_v(s, i, c, v, 5) == again
+    assert len(builds) > first_builds
+    assert before - model.budget.steps == 10 ** 6 - fresh.budget.steps
     # each stored table costs what building it from scratch costs
-    for items, (r, steps) in list(R._TABLES.items()):
+    for items, (r, steps) in tables.items():
         assert (r, steps) == _table_cost(dict(items))
         # a budget one step short fails the same way cold and warm: drained
         for memo in ({}, {items: (r, steps)}):
-            monkeypatch.setattr(R, "_TABLES", memo)
             short = Model()
+            short._table_memo = dict(memo)
             short.budget.steps = steps - 1
             with pytest.raises(Diverged):
                 short._table_code(dict(items))
             assert short.budget.steps == 0
             exact = Model()
+            exact._table_memo = dict(memo)
             exact.budget.steps = steps
             assert exact._table_code(dict(items)) == r
             assert exact.budget.steps == 0
@@ -333,24 +337,6 @@ def test_fuel_sites_answer_unknown_and_keep_the_budget():
         assert (str(query(model)), model.budget.steps) == ("unknown(fuel)", left)
 
 
-def test_table_memo_drops_the_oldest_table(monkeypatch):
-    monkeypatch.setattr(R, "_TABLES", {})
-    tables = [{0: n} for n in range(R._TABLES_CAP + 1)]
-    first = Model()
-    built = first._table_code(tables[0])
-    cost = 10 ** 6 - first.budget.steps
-    for table in tables[1:]:
-        Model()._table_code(table)
-    assert len(R._TABLES) == R._TABLES_CAP
-    assert ((0, 0),) not in R._TABLES and ((0, 1),) in R._TABLES
-    # the dropped table is rebuilt at its first cost, and drops the next oldest
-    again = Model()
-    assert again._table_code(tables[0]) == built
-    assert 10 ** 6 - again.budget.steps == cost and (built, cost) == _table_cost(tables[0])
-    assert ((0, 1),) not in R._TABLES and ((0, 0),) in R._TABLES
-    assert len(R._TABLES) == R._TABLES_CAP
-
-
 def _persistence_replay(models):
     """test_persistence_of_stages' queries on its first 50 codes, in its
     order: one line per query with the verdict and the budget left after it.
@@ -393,7 +379,7 @@ def test_persistence_replay_is_exact(monkeypatch, cap):
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == PERSISTENCE_50_SHA256
     # speed is not bought with unbounded memory
-    assert len(R._TABLES) <= R._TABLES_CAP
+    assert max(len(m._table_memo) for m in models) <= 1
     assert max(len(m._apply_memo) for m in models) <= cap
 
 
