@@ -105,12 +105,13 @@ def is_covered(ax: FiniteAxiomSet, a, v) -> bool:
 
 
 def cont(ax: FiniteAxiomSet, v: frozenset, p: frozenset) -> bool:
-    """P contains V and is closed under every axiom instance."""
+    """P contains V and is closed under every axiom instance.  An instance
+    whose head lies in P holds, so only the heads outside P are read."""
     if not v <= p:
         return False
-    for a in ax.carrier:
+    for a in ax.carrier - p:
         for j in ax.index[a]:
-            if ax.cover[(a, j)] <= p and a not in p:
+            if ax.cover[(a, j)] <= p:
                 return False
     return True
 

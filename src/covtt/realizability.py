@@ -127,6 +127,17 @@ def _code_view(n: int, k: int) -> tuple:
     return kind, *[(p, k - 1) for p in parts]
 
 
+def _constant(e: int, n: int) -> int | None:
+    """a when e is n K heads around a, so that {e}(x1, ..., xn) = a in n
+    ticks whatever the xs are; None for any other code."""
+    for _ in range(n):
+        dec = K._decoded(e)
+        if dec is None or dec[0] != K.K or not dec[1]:
+            return None
+        e = dec[1][0]
+    return e
+
+
 def rf_code(z: int, r: int) -> int:
     return tagged("rf", z, r)
 
@@ -307,7 +318,8 @@ class Model:
         """{e}(args), or None when the budget runs out.  Leading steps that
         e's decoding fixes are charged, not run: a K a head takes an argument
         to a in one tick, and a code that decodes to nothing diverges on its
-        tick.  What is left runs once per key."""
+        tick.  What is left runs once per key.  The model's member loops read
+        a constant family once (see _each) and do not call this per member."""
         n = 0
         try:
             while n < len(args):
@@ -327,6 +339,70 @@ class Model:
             return e
         key = (e, *args[n:])
         return self._run(self._apply_memo, key, K.apply_many, key)
+
+    def _pay(self, n: int, count: int) -> int:
+        """Charge count applications of n ticks each with one Budget.charge:
+        how many of them the budget pays before it drains, where count
+        charges of n in a row would leave it.  Zero applications are all
+        paid, even at a negative budget, where the charge of 0 fails."""
+        left = self.budget.steps
+        try:
+            self.budget.charge(n * count)
+        except Diverged:
+            return max(left, 0) // n
+        return count
+
+    def _each(self, e: int, pre: tuple, xs: list[int], query, fail,
+              stop: bool = False) -> list:
+        """query({e}(*pre, x)) for each x in xs, in order, and fail for an x
+        whose application runs out; with stop, nothing after that x is
+        applied.  query is a memoized query, free when asked again, and the
+        caller does nothing between members.  A constant family (see
+        _constant) is decoded once: the first member's ticks are charged,
+        query is asked once, and the other members' ticks are charged in
+        one go, so the budget drains at the member where the loop's would."""
+        n = len(pre) + 1
+        a = _constant(e, n)
+        if a is None:
+            out = []
+            for x in xs:
+                ex = self.apply(e, *pre, x)
+                out.append(fail if ex is None else query(ex))
+                if ex is None and stop:
+                    break
+            return out
+        if not xs:
+            return []
+        if not self._pay(n, 1):
+            return [fail] * len(xs)
+        r = query(a)
+        paid = 1 + self._pay(n, len(xs) - 1)
+        return [r] * paid + [fail] * (len(xs) - paid)
+
+    def _pairs(self, e: int, pre: tuple, xs: list[int], k: int,
+               inner) -> tuple[list[Tri], bool]:
+        """The parts of a quantifier over x in xs and y a member of
+        {e}(*pre, x) at stage k: inner(x, y) for each pair, FUEL for an x
+        whose application runs out, and whether every enumeration of y was
+        exact.  Once a constant family's image proves to have no members,
+        the other xs only tick, and they are charged in one go."""
+        parts, exact = [], True
+        n = len(pre) + 1
+        a = _constant(e, n)
+        for done, x in enumerate(xs):
+            ex = self.apply(e, *pre, x)
+            if ex is None:
+                parts.append(FUEL)
+                continue
+            ys, exact_y = self.members(ex, k)
+            exact &= exact_y
+            if a is not None and not ys:
+                rest = len(xs) - done - 1
+                if self._pay(n, rest) < rest:
+                    parts.append(FUEL)
+                break
+            parts.extend(inner(x, y) for y in ys)
+        return parts, exact
 
     def value(self, kt: KTerm | Open, env: dict[str, int]) -> int | None:
         """kt in env, or None when the budget runs out.  An Open runs once per
@@ -360,17 +436,13 @@ class Model:
         return self._memo(self._set_memo, Model._set_at, (n, k))
 
     def _fam(self, e: int, kc: int, k: int) -> Tri:
-        """Fam_k(e, kc): kc is a set and {e}(m) is a set for every member m."""
+        """Fam_k(e, kc): kc is a set and {e}(m) is a set for every member m.
+        A constant family asks set_at once (see _each)."""
         parts = [self.set_at(kc, k)]
         if parts[0].kind == "no":
             return parts[0]
         ms, exact = self.members(kc, k)
-        for m in ms:
-            em = self.apply(e, m)
-            if em is None:
-                parts.append(FUEL)
-                continue
-            parts.append(self.set_at(em, k))
+        parts += self._each(e, (), ms, lambda em: self.set_at(em, k), FUEL)
         return sampled(parts, exact)
 
     def _set_at(self, n: int, k: int) -> Tri:
@@ -403,21 +475,12 @@ class Model:
         parts.append(self._fam(v, s, k))
         parts.append(self._fam(i, s, k))
         xs, exact = self.members(s, k)
-        for x in xs:
-            ix = self.apply(i, x)
-            if ix is None:
-                parts.append(FUEL)
-                continue
-            ys, exact_y = self.members(ix, k)
-            if not exact_y:
-                exact = False
-            for y in ys:
-                cxy = self.apply(c, x, y)
-                if cxy is None:
-                    parts.append(FUEL)
-                    continue
-                parts.append(self._fam(cxy, s, k))
-        return sampled(parts, exact)
+
+        def fam_c(x, y):
+            cxy = self.apply(c, x, y)
+            return FUEL if cxy is None else self._fam(cxy, s, k)
+        got, exact_y = self._pairs(i, (), xs, k, fam_c)
+        return sampled(parts + got, exact and exact_y)
 
     # -- membership ----------------------------------------------------------
     # A source is a set code at a stage, (n, k), or a compiled pretype in an
@@ -481,10 +544,14 @@ class Model:
         ex = self.apply(e, x)
         return None if ex is None else (ex, k)
 
-    def _elements_at(self, fam, x: int) -> tuple[list[int], bool]:
-        """Elements of the source fam gives at x; ([], False) if it ran out."""
-        src = self._at(fam, x)
-        return ([], False) if src is None else self.elements(src)
+    def _elements_each(self, fam, xs: list[int]) -> list[tuple[list[int], bool]]:
+        """Elements of the source fam gives at each x; ([], False) where it
+        ran out.  A code family goes through _each."""
+        if len(fam) == 3:
+            body, env, y = fam
+            return [self.elements((body, {**env, y: x})) for x in xs]
+        e, k = fam
+        return self._each(e, (), xs, lambda ex: self.members(ex, k), ([], False))
 
     def _holds(self, src, x: int) -> Tri:
         """The membership clauses; a code source reaches them through mem_at."""
@@ -497,10 +564,17 @@ class Model:
                 return FUEL
             return tri_all([self.contains(view[1], x0), self.contains(fam, x1)])
         if kind == "pi":
+            # x is applied between the members, so a constant family (see
+            # _constant) is only decoded once here, and each member ticks
             parts = []
             ys, exact = self.elements(view[1])
+            at = view[2]
+            a = _constant(at[0], 1) if len(at) == 2 else None
             for y in ys:
-                fam = self._at(view[2], y)
+                if a is None:
+                    fam = self._at(at, y)
+                else:
+                    fam = (a, at[1]) if self._pay(1, 1) else None
                 xy = self.apply(x, y)
                 if fam is None or xy is None:
                     parts.append(FUEL)
@@ -551,8 +625,7 @@ class Model:
         if kind == "sigma":
             out = []
             xs, exact = self.elements(view[1])
-            for x0 in xs:
-                x1s, ex1 = self._elements_at(view[2], x0)
+            for x0, (x1s, ex1) in zip(xs, self._elements_each(view[2], xs)):
                 exact &= ex1
                 out.extend(pair(x0, x1) for x1 in x1s)
             return out, exact
@@ -638,32 +711,26 @@ class Model:
         zs, exact = self.members(s, k)
         cover: dict[int, set[int]] = {z: set() for z in zs}
         # rf rule
-        for z in zs:
-            rs, exr = self._elements_at((v, k), z)
+        for z, (rs, exr) in zip(zs, self._elements_each((v, k), zs)):
             exact &= exr
             for r in rs:
                 cover[z].add(rf_code(z, r))
         # index and premise data
         idx: dict[int, list[int]] = {}
-        for z in zs:
-            idx[z], exj = self._elements_at((i, k), z)
+        for z, (js, exj) in zip(zs, self._elements_each((i, k), zs)):
+            idx[z] = js
             exact &= exj
         needs: dict[tuple[int, int], list[int] | None] = {}
         for z in zs:
             for j in idx[z]:
-                needed = []
-                ok = True
-                for u in zs:
-                    cu = self.apply(c, z, j, u)
-                    if cu is None:
-                        exact = False
-                        ok = False
-                        break
-                    ts, ext = self.members(cu, k)
-                    exact &= ext
-                    if ts:
-                        needed.append(u)
-                needs[(z, j)] = needed if ok else None
+                got = self._each(c, (z, j), zs, lambda cu: self.members(cu, k),
+                                 None, stop=True)
+                if None in got:
+                    exact = False
+                    needs[(z, j)] = None
+                    continue
+                exact &= all(ext for _, ext in got)
+                needs[(z, j)] = [u for u, (ts, _) in zip(zs, got) if ts]
         # saturate with canonical table witnesses, one per point and index
         witnessed: set[tuple[int, int]] = set()
         changed = True
@@ -724,20 +791,12 @@ class Model:
             return FUEL
         parts = [self.mem_at(z, s, k), self.mem_at(j, iz, k)]
         us, exact = self.members(s, k)
-        for u in us:
-            cu = self.apply(c, z, j, u)
-            if cu is None:
-                parts.append(FUEL)
-                continue
-            ts, ext = self.members(cu, k)
-            exact &= ext
-            for t in ts:
-                ru = self.apply(r, u, t)
-                if ru is None:
-                    parts.append(FUEL)
-                    continue
-                parts.append(self.in_cover(s, i, c, v, k, u, ru, depth - 1))
-        return sampled(parts, exact)
+
+        def below(u, t):
+            ru = self.apply(r, u, t)
+            return FUEL if ru is None else self.in_cover(s, i, c, v, k, u, ru, depth - 1)
+        got, exact_t = self._pairs(c, (z, j), us, k, below)
+        return sampled(parts + got, exact and exact_t)
 
 
 # ---------------------------------------------------------------------------

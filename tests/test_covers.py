@@ -180,6 +180,35 @@ def test_induction_minimality_matches_full_enumeration(monkeypatch):
     assert check_induction_minimality(ax, ax.carrier)
 
 
+def cont_reference(ax: FiniteAxiomSet, v: frozenset, p: frozenset) -> bool:
+    """cont read off its definition: every declared instance of every head."""
+    return v <= p and all(a in p or not ax.cover[(a, j)] <= p
+                          for a in ax.carrier for j in ax.index[a])
+
+
+class _Unread:
+    def __getitem__(self, key):
+        raise AssertionError(f"read the instance {key!r}")
+
+
+def test_cont_matches_its_definition():
+    rng = random.Random(43)
+    carrier = range(5)
+    subsets = [frozenset(e for e in carrier if bits >> e & 1) for bits in range(32)]
+    sets = [random_axiom_set(rng, carrier, max_indices=3) for _ in range(12)]
+    sets += [wp_axiom_set(frozenset((rng.randrange(5), rng.randrange(5))
+                                    for _ in range(rng.randrange(0, 10))),
+                          frozenset(carrier)) for _ in range(12)]
+    for ax in sets:
+        for v in (frozenset(), frozenset(rng.sample(carrier, 2))):
+            for p in subsets:
+                assert cont(ax, v, p) == cont_reference(ax, v, p), (v, p)
+    # heads inside P hold whatever their instances say, so none of them is read
+    ax = wp_axiom_set(frozenset((i, i + 1) for i in range(399)), frozenset(range(400)))
+    ax.cover = _Unread()
+    assert cont(ax, frozenset(), ax.carrier)
+
+
 # ---------------------------------------------------------------------------
 # quotients
 # ---------------------------------------------------------------------------

@@ -383,6 +383,34 @@ def test_persistence_replay_is_exact(monkeypatch, cap):
     assert max(len(m._apply_memo) for m in models) <= cap
 
 
+def test_persistence_verdicts_ignore_query_order_and_memo_state():
+    """The first 20 codes of test_persistence_of_stages: its 65 membership
+    probes, each at the first stage where the code is a set and at stage 8,
+    answer alike in the test's order on one Model, shuffled on another, and
+    each on a cold Model of its own; unknown(fuel) verdicts included."""
+    rng = random.Random(60606)
+    codes = [_gen_set_code(rng, rng.randrange(0, 6)) for _ in range(20)]
+    shuffle = random.Random(2024)
+    asked = 0
+    for m in codes:
+        model = Model(fuel=10 ** 6)
+        first = next((k for k in range(7) if model.set_at(m, k).kind == "yes"), None)
+        if first is None:
+            continue
+        for k in (first + 1, first + 2, 8):
+            model.set_at(m, k)
+        probes = [(i, k) for i in range(65) for k in (first, 8)]
+        in_order = {probe: str(model.mem_at(probe[0], m, probe[1])) for probe in probes}
+        shuffle.shuffle(probes)
+        other = Model(fuel=10 ** 6)
+        assert {probe: str(other.mem_at(probe[0], m, probe[1]))
+                for probe in probes} == in_order, m
+        for (i, k), verdict in in_order.items():
+            assert str(Model(fuel=10 ** 6).mem_at(i, m, k)) == verdict, (m, i, k)
+        asked += 1
+    assert asked == 7
+
+
 def _verify_lines(monkeypatch, paths, **flags):
     """Each judgment's verdict under the flags, one line per judgment with
     the budget left in each Model it made; files that do not parse are
@@ -520,6 +548,100 @@ def test_apply_agrees_with_the_machine(monkeypatch, cap):
         model.budget.steps = fuel
         assert model.apply(e, *args) == expected, (e, args, fuel)
         assert model.budget.steps == budget.steps, (e, args, fuel)
+
+
+def _finite(m):
+    """A set code with exactly m members at stage m and above: N0, N1, then
+    N1 + (N1 + ...)."""
+    if m == 0:
+        return N0_CODE
+    n = N1_CODE
+    for _ in range(m - 1):
+        n = K.tagged("plus", N1_CODE, n)
+    return n
+
+
+def _runs(n):
+    """A code the machine runs on n arguments: {e}(x1, ..., xn) is N1 when
+    xn = 0 and N0 otherwise."""
+    xs = [f"x{j}" for j in range(n)]
+    return eval_kterm(K.lambda_abstract_many(kop(K.IFZ, xs[-1], N1_CODE, N0_CODE), xs))
+
+
+def _families(n):
+    """Family codes applied to n arguments: constant ones, K a with more
+    heads than arguments, a K prefix whose tail runs, and divergers."""
+    div = pair(25, 0)                       # decodes to nothing
+    out = [_k(N0_CODE, n), _k(N1_CODE, n), _k(N1_CODE, n + 2), _runs(n), div,
+           _k(div, n - 1) if n > 1 else _k(div)]
+    if n > 1:
+        out += [_k(N1_CODE), _k(_runs(n - 1))]
+    return out
+
+
+def _outcome(query, fuel):
+    """What query does to a fresh Model with fuel steps: its answer, or that
+    it raised Diverged, and the steps left."""
+    model = Model()
+    model.budget.steps = fuel
+    try:
+        got = query(model)
+    except Diverged:
+        got = "diverged"
+    return got, model.budget.steps
+
+
+def _batch_sites():
+    """(site, query) for every loop that reads a constant family once: each
+    family code in the place that loop reads, over carriers of 0, 1, 2 and 5
+    members."""
+    k = 6
+    n1 = _k(N1_CODE)
+    # {r}(u, t) = rf(u, 0), computed by the machine
+    r = eval_kterm(K.lambda_abstract_many(
+        kop(K.PAIR, K.TAG["rf"], kop(K.PAIR, "u", 0)), ["u", "t"]))
+    for m in (0, 1, 2, 5):
+        s = _finite(m)
+        for e in _families(1):
+            yield "_fam", lambda md, e=e, s=s: md._fam(e, s, k)
+            yield "_enum sigma", lambda md, e=e, s=s: md._enum((K.tagged("sigma", s, e), k))
+            yield "_holds pi", lambda md, e=e, s=s: md._holds((K.tagged("pi", s, e), k),
+                                                              _runs(1))
+            yield "_cover_v v", lambda md, e=e, s=s: md.cover_v(s, n1, _k(N1_CODE, 3), e, k)
+            yield "_cover_v i", lambda md, e=e, s=s: md.cover_v(s, e, _k(N1_CODE, 3), n1, k)
+            yield "_star_conditions i", lambda md, e=e, s=s: md._star_conditions(
+                0, n1, s, e, _k(N1_CODE, 2), k)
+        for e in _families(2):
+            yield "_star_conditions c", lambda md, e=e, s=s: md._star_conditions(
+                0, n1, s, n1, e, k)
+        for e in _families(3):
+            yield "_cover_v c", lambda md, e=e, s=s: md.cover_v(s, n1, e, n1, k)
+            yield "in_cover", lambda md, e=e, s=s: md.in_cover(
+                s, n1, e, n1, k, 0, tr_code(0, 0, r), R.COVER_DEPTH)
+
+
+def test_constant_family_batch_is_exact(monkeypatch):
+    """Each batched loop answers, and leaves the budget, as its member loop
+    does (the reader forced to None), at every budget from -2 to the loop's
+    full cost + 1 and on families of 0, 1, 2 and 5 members."""
+    reader = R._constant
+    sites = set()
+    for site, query in _batch_sites():
+        monkeypatch.setattr(R, "_constant", lambda e, n: None)
+        loop, left = _outcome(query, 10 ** 6)
+        fuels = range(-2, 10 ** 6 - left + 2)
+        loops = [_outcome(query, fuel) for fuel in fuels]
+        monkeypatch.setattr(R, "_constant", reader)
+        assert _outcome(query, 10 ** 6) == (loop, left), site
+        assert [_outcome(query, fuel) for fuel in fuels] == loops, site
+        sites.add(site)
+    assert len(sites) == 9
+    # zero members left cost nothing, even where a charge of 0 would fail
+    model = Model()
+    for left, count, paid, after in ((-3, 0, 0, -3), (-3, 2, 0, -3), (5, 3, 2, 0),
+                                     (6, 3, 3, 0), (0, 0, 0, 0)):
+        model.budget.steps = left
+        assert (model._pay(2, count), model.budget.steps) == (paid, after)
 
 
 def test_open_memo_charges_exact_steps(monkeypatch):
