@@ -285,6 +285,21 @@ def decode(e: int) -> tuple[int, list[int]] | None:
     return None if dec is None else (dec[0], list(dec[1]))
 
 
+@lru_cache(maxsize=1 << 12)     # the model reads the same few families often
+def peel(e: int, n: int) -> tuple[int | None, int]:
+    """(a, m): the first m <= n ticks of {e}(x1, ..., xn) drop a K head each
+    (K a x = a) and leave a, whatever the xs are; a is None when the next
+    tick diverges on a code that decodes to nothing.  m == n: {e}(xs) = a."""
+    for m in range(n):
+        dec = _decoded(e)
+        if dec is None:
+            return None, m
+        if dec[0] != K or not dec[1]:
+            return e, m
+        e = dec[1][0]
+    return e, n
+
+
 _REC_CODE, _LREC_CODE = code(REC), code(LREC)
 
 
@@ -423,12 +438,6 @@ def kvars(t: KTerm) -> frozenset[str]:
         elif type(t) is str:
             found.add(t)
     return frozenset(found)
-
-
-def ksubst(t: KTerm, name: str, u: KTerm) -> KTerm:
-    if type(t) is tuple:
-        return kapp(ksubst(t[1], name, u), ksubst(t[2], name, u))
-    return u if t == name else t
 
 
 def kterm_src(t: KTerm) -> str:

@@ -127,17 +127,6 @@ def _code_view(n: int, k: int) -> tuple:
     return kind, *[(p, k - 1) for p in parts]
 
 
-def _constant(e: int, n: int) -> int | None:
-    """a when e is n K heads around a, so that {e}(x1, ..., xn) = a in n
-    ticks whatever the xs are; None for any other code."""
-    for _ in range(n):
-        dec = K._decoded(e)
-        if dec is None or dec[0] != K.K or not dec[1]:
-            return None
-        e = dec[1][0]
-    return e
-
-
 def rf_code(z: int, r: int) -> int:
     return tagged("rf", z, r)
 
@@ -315,29 +304,21 @@ class Model:
         return r
 
     def apply(self, e: int, *args: int) -> int | None:
-        """{e}(args), or None when the budget runs out.  Leading steps that
-        e's decoding fixes are charged, not run: a K a head takes an argument
-        to a in one tick, and a code that decodes to nothing diverges on its
-        tick.  What is left runs once per key.  The model's member loops read
-        a constant family once (see _each) and do not call this per member."""
-        n = 0
+        """{e}(args), or None when the budget runs out.  The leading ticks
+        that kleene.peel reads off e's decoding are charged, not run; what
+        is left runs once per key.  The model's member loops read a constant
+        family once (see _each) and do not call this per member."""
+        a, m = K.peel(e, len(args))
+        if a is None:
+            m += 1                          # the tick that diverges
         try:
-            while n < len(args):
-                dec = K._decoded(e)
-                if dec is None:
-                    self.budget.charge(n + 1)
-                    return None
-                if dec[0] != K.K or not dec[1]:
-                    break
-                e = dec[1][0]
-                n += 1
-            if n:
-                self.budget.charge(n)
+            if m:
+                self.budget.charge(m)
         except Diverged:
             return None
-        if n == len(args):
-            return e
-        key = (e, *args[n:])
+        if a is None or m == len(args):
+            return a
+        key = (a, *args[m:])
         return self._run(self._apply_memo, key, K.apply_many, key)
 
     def _pay(self, n: int, count: int) -> int:
@@ -352,55 +333,50 @@ class Model:
             return max(left, 0) // n
         return count
 
-    def _each(self, e: int, pre: tuple, xs: list[int], query, fail,
+    def _each(self, fam, xs: list[int], query, fail, pre: tuple = (),
               stop: bool = False) -> list:
-        """query({e}(*pre, x)) for each x in xs, in order, and fail for an x
-        whose application runs out; with stop, nothing after that x is
-        applied.  query is a memoized query, free when asked again, and the
-        caller does nothing between members.  A constant family (see
-        _constant) is decoded once: the first member's ticks are charged,
-        query is asked once, and the other members' ticks are charged in
-        one go, so the budget drains at the member where the loop's would."""
+        """query(the source fam gives at *pre, x) for each x in xs, in order,
+        fail for an x whose application runs out, and with stop nothing
+        after it.  fam is (e, k), whose source at x is ({e}(*pre, x), k), or
+        a pretype's (body, env, y).  query is memoized, free when asked
+        again, and the caller does nothing between members.  A constant
+        family (kleene.peel) is decoded once: the first member's ticks are
+        charged, query is asked once, and the other members' ticks in one
+        go, so the budget drains at the member where the loop's would."""
+        if len(fam) == 3:
+            body, env, y = fam
+            return [query((body, {**env, y: x})) for x in xs]
+        e, k = fam
         n = len(pre) + 1
-        a = _constant(e, n)
-        if a is None:
+        a, m = K.peel(e, n)
+        if m < n or not xs:
             out = []
             for x in xs:
                 ex = self.apply(e, *pre, x)
-                out.append(fail if ex is None else query(ex))
+                out.append(fail if ex is None else query((ex, k)))
                 if ex is None and stop:
                     break
             return out
-        if not xs:
-            return []
         if not self._pay(n, 1):
             return [fail] * len(xs)
-        r = query(a)
+        r = query((a, k))
         paid = 1 + self._pay(n, len(xs) - 1)
         return [r] * paid + [fail] * (len(xs) - paid)
 
-    def _pairs(self, e: int, pre: tuple, xs: list[int], k: int,
-               inner) -> tuple[list[Tri], bool]:
-        """The parts of a quantifier over x in xs and y a member of
-        {e}(*pre, x) at stage k: inner(x, y) for each pair, FUEL for an x
-        whose application runs out, and whether every enumeration of y was
-        exact.  Once a constant family's image proves to have no members,
-        the other xs only tick, and they are charged in one go."""
+    def _pairs(self, fam: tuple[int, int], xs: list[int], inner,
+               pre: tuple = ()) -> tuple[list[Tri], bool]:
+        """A quantifier's parts: inner(x, y) for each x in xs and member y of
+        {e}(*pre, x) at stage k, fam being (e, k), FUEL for an x whose
+        application runs out; and whether every enumeration of y was exact."""
+        e, k = fam
         parts, exact = [], True
-        n = len(pre) + 1
-        a = _constant(e, n)
-        for done, x in enumerate(xs):
+        for x in xs:
             ex = self.apply(e, *pre, x)
             if ex is None:
                 parts.append(FUEL)
                 continue
             ys, exact_y = self.members(ex, k)
             exact &= exact_y
-            if a is not None and not ys:
-                rest = len(xs) - done - 1
-                if self._pay(n, rest) < rest:
-                    parts.append(FUEL)
-                break
             parts.extend(inner(x, y) for y in ys)
         return parts, exact
 
@@ -442,7 +418,7 @@ class Model:
         if parts[0].kind == "no":
             return parts[0]
         ms, exact = self.members(kc, k)
-        parts += self._each(e, (), ms, lambda em: self.set_at(em, k), FUEL)
+        parts += self._each((e, k), ms, lambda src: self.set_at(*src), FUEL)
         return sampled(parts, exact)
 
     def _set_at(self, n: int, k: int) -> Tri:
@@ -479,7 +455,7 @@ class Model:
         def fam_c(x, y):
             cxy = self.apply(c, x, y)
             return FUEL if cxy is None else self._fam(cxy, s, k)
-        got, exact_y = self._pairs(i, (), xs, k, fam_c)
+        got, exact_y = self._pairs((i, k), xs, fam_c)
         return sampled(parts + got, exact and exact_y)
 
     # -- membership ----------------------------------------------------------
@@ -544,15 +520,6 @@ class Model:
         ex = self.apply(e, x)
         return None if ex is None else (ex, k)
 
-    def _elements_each(self, fam, xs: list[int]) -> list[tuple[list[int], bool]]:
-        """Elements of the source fam gives at each x; ([], False) where it
-        ran out.  A code family goes through _each."""
-        if len(fam) == 3:
-            body, env, y = fam
-            return [self.elements((body, {**env, y: x})) for x in xs]
-        e, k = fam
-        return self._each(e, (), xs, lambda ex: self.members(ex, k), ([], False))
-
     def _holds(self, src, x: int) -> Tri:
         """The membership clauses; a code source reaches them through mem_at."""
         view = self._view(src)
@@ -565,13 +532,13 @@ class Model:
             return tri_all([self.contains(view[1], x0), self.contains(fam, x1)])
         if kind == "pi":
             # x is applied between the members, so a constant family (see
-            # _constant) is only decoded once here, and each member ticks
+            # kleene.peel) is only decoded once here, and each member ticks
             parts = []
             ys, exact = self.elements(view[1])
             at = view[2]
-            a = _constant(at[0], 1) if len(at) == 2 else None
+            a, m = K.peel(at[0], 1) if len(at) == 2 else (None, 0)
             for y in ys:
-                if a is None:
+                if not m:
                     fam = self._at(at, y)
                 else:
                     fam = (a, at[1]) if self._pay(1, 1) else None
@@ -625,7 +592,8 @@ class Model:
         if kind == "sigma":
             out = []
             xs, exact = self.elements(view[1])
-            for x0, (x1s, ex1) in zip(xs, self._elements_each(view[2], xs)):
+            got = self._each(view[2], xs, self.elements, ([], False))
+            for x0, (x1s, ex1) in zip(xs, got):
                 exact &= ex1
                 out.extend(pair(x0, x1) for x1 in x1s)
             return out, exact
@@ -711,20 +679,19 @@ class Model:
         zs, exact = self.members(s, k)
         cover: dict[int, set[int]] = {z: set() for z in zs}
         # rf rule
-        for z, (rs, exr) in zip(zs, self._elements_each((v, k), zs)):
+        for z, (rs, exr) in zip(zs, self._each((v, k), zs, self.elements, ([], False))):
             exact &= exr
             for r in rs:
                 cover[z].add(rf_code(z, r))
         # index and premise data
         idx: dict[int, list[int]] = {}
-        for z, (js, exj) in zip(zs, self._elements_each((i, k), zs)):
+        for z, (js, exj) in zip(zs, self._each((i, k), zs, self.elements, ([], False))):
             idx[z] = js
             exact &= exj
         needs: dict[tuple[int, int], list[int] | None] = {}
         for z in zs:
             for j in idx[z]:
-                got = self._each(c, (z, j), zs, lambda cu: self.members(cu, k),
-                                 None, stop=True)
+                got = self._each((c, k), zs, self.elements, None, pre=(z, j), stop=True)
                 if None in got:
                     exact = False
                     needs[(z, j)] = None
@@ -795,7 +762,7 @@ class Model:
         def below(u, t):
             ru = self.apply(r, u, t)
             return FUEL if ru is None else self.in_cover(s, i, c, v, k, u, ru, depth - 1)
-        got, exact_t = self._pairs(c, (z, j), us, k, below)
+        got, exact_t = self._pairs((c, k), us, below, (z, j))
         return sampled(parts + got, exact and exact_t)
 
 

@@ -15,7 +15,7 @@ from covtt.covers import (
 )
 from covtt.kernel import check_judgment, whnf
 from covtt.kleene import (
-    apply, code, dec_list, enc_list, eval_kterm, kapp, ksubst, lambda_abstract,
+    apply, code, dec_list, enc_list, eval_kterm, kapp, lambda_abstract,
     list_component, list_length, pair, unpair,
 )
 from covtt.realizability import (
@@ -27,6 +27,13 @@ from covtt.syntax import (
     parse_judgment, parse_term,
 )
 from fractions import Fraction as F
+
+
+def ksubst(t, name: str, u):
+    """t with the applicative term u for the variable name."""
+    if type(t) is tuple:
+        return kapp(ksubst(t[1], name, u), ksubst(t[2], name, u))
+    return u if t == name else t
 
 
 def _report(name: str):

@@ -1,12 +1,14 @@
 import random
 
 import pytest
+from test_acceptance import ksubst
 
 from covtt import kleene as K
 from covtt.kleene import (
     Diverged, apply, apply_counted, apply_many, code, dec_list, enc_list,
-    eval_kterm, fix_by_recursion_theorem, kapp, kfresh, kleene_T, kleene_U, kop, ksubst, lambda_abstract, lambda_abstract_many,
-    list_component, list_length, pair, trace_of, unpair, unpair0, unpair1,
+    eval_kterm, fix_by_recursion_theorem, kapp, kfresh, kleene_T, kleene_U, kop,
+    lambda_abstract, lambda_abstract_many, list_component, list_length, pair,
+    trace_of, unpair, unpair0, unpair1,
 )
 
 
@@ -115,6 +117,38 @@ def test_divergers():
     neverzero = code(K.K, [1])
     with pytest.raises(Diverged):
         apply(code(K.MU), neverzero, 10 ** 4)
+
+
+def test_peel_matches_the_machine():
+    """peel(e, n) = (a, m) predicts {e}(x1, ..., xn) at every budget: a in n
+    ticks when m == n, a divergence on tick m + 1 when a is None, and
+    otherwise m ticks followed by {a}(x(m+1), ..., xn)."""
+    rng = random.Random(23)
+    heads = [K.PLUS_CODE, K.MULT_CODE, pair(25, 0), code(K.I, [5]),
+             code(K.PAIR, [3]), code(K.K)]
+    seen = set()
+    for _ in range(300):
+        e = rng.choice(heads + [rng.randrange(200)])
+        for _ in range(rng.randrange(5)):
+            e = code(K.K, [e])
+        xs = [rng.randrange(6) for _ in range(rng.randrange(6))]
+        a, m = K.peel(e, len(xs))
+        assert 0 <= m <= len(xs)
+        kind = "constant" if m == len(xs) else "diverges" if a is None else "runs"
+        seen.add(kind)
+        ticks = m + (kind == "diverges")
+        cost = 5000 - _counted_term(kapp(e, *xs), 5000)[1]
+        for fuel in range(-2, cost + 2):
+            if ticks and fuel < ticks:
+                expected = None, min(fuel, 0)
+            elif kind == "constant":
+                expected = a, fuel - ticks
+            elif kind == "diverges":
+                expected = None, fuel - ticks
+            else:
+                expected = _counted_term(kapp(a, *xs[m:]), fuel - ticks)
+            assert _counted_term(kapp(e, *xs), fuel) == expected, (e, xs, fuel)
+    assert seen == {"constant", "diverges", "runs"}
 
 
 def test_mu_finds_least_zero():

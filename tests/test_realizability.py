@@ -2,7 +2,7 @@ import hashlib
 import random
 
 import pytest
-from test_acceptance import _gen_set_code
+from test_acceptance import _gen_set_code, ksubst
 
 from covtt import kleene as K
 from covtt import realizability as R
@@ -94,7 +94,7 @@ def test_substitution_commutation_bulk():
         u = parse_term(rng.choice(args))
         var = rng.choice(["x", "y"])
         lhs = interpret_term(substitute(t, var, u))
-        rhs = K.ksubst(interpret_term(t), var, interpret_term(u))
+        rhs = ksubst(interpret_term(t), var, interpret_term(u))
         assert lhs == rhs, (t, var, u)
 
 
@@ -592,9 +592,9 @@ def _outcome(query, fuel):
 
 
 def _batch_sites():
-    """(site, query) for every loop that reads a constant family once: each
-    family code in the place that loop reads, over carriers of 0, 1, 2 and 5
-    members."""
+    """(site, query) for every loop over a family's members (the _each
+    loops, the Pi clause and the _pairs loops): each family code in the place
+    that loop reads, over carriers of 0, 1, 2 and 5 members."""
     k = 6
     n1 = _k(N1_CODE)
     # {r}(u, t) = rf(u, 0), computed by the machine
@@ -621,17 +621,18 @@ def _batch_sites():
 
 
 def test_constant_family_batch_is_exact(monkeypatch):
-    """Each batched loop answers, and leaves the budget, as its member loop
-    does (the reader forced to None), at every budget from -2 to the loop's
-    full cost + 1 and on families of 0, 1, 2 and 5 members."""
-    reader = R._constant
+    """Each batched loop answers, and leaves the budget, as the machine does
+    (kleene.peel forced to read no K head, so that every application runs),
+    at every budget from -2 to the loop's full cost + 1 and on families of
+    0, 1, 2 and 5 members."""
+    reader = K.peel
     sites = set()
     for site, query in _batch_sites():
-        monkeypatch.setattr(R, "_constant", lambda e, n: None)
+        monkeypatch.setattr(K, "peel", lambda e, n: (e, 0))
         loop, left = _outcome(query, 10 ** 6)
         fuels = range(-2, 10 ** 6 - left + 2)
         loops = [_outcome(query, fuel) for fuel in fuels]
-        monkeypatch.setattr(R, "_constant", reader)
+        monkeypatch.setattr(K, "peel", reader)
         assert _outcome(query, 10 ** 6) == (loop, left), site
         assert [_outcome(query, fuel) for fuel in fuels] == loops, site
         sites.add(site)
