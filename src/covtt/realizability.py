@@ -309,8 +309,7 @@ class Model:
         is left runs once per key.  The model's member loops read a constant
         family once (see _each) and do not call this per member."""
         a, m = K.peel(e, len(args))
-        if a is None:
-            m += 1                          # the tick that diverges
+        m += a is None                      # the tick that diverges
         try:
             if m:
                 self.budget.charge(m)
@@ -367,16 +366,22 @@ class Model:
                pre: tuple = ()) -> tuple[list[Tri], bool]:
         """A quantifier's parts: inner(x, y) for each x in xs and member y of
         {e}(*pre, x) at stage k, fam being (e, k), FUEL for an x whose
-        application runs out; and whether every enumeration of y was exact."""
+        application runs out; and whether every enumeration of y was exact.
+        Once a constant family's image is empty, the other xs only tick."""
         e, k = fam
         parts, exact = [], True
-        for x in xs:
+        n = len(pre) + 1
+        for done, x in enumerate(xs, 1):
             ex = self.apply(e, *pre, x)
             if ex is None:
                 parts.append(FUEL)
                 continue
             ys, exact_y = self.members(ex, k)
             exact &= exact_y
+            if not ys and K.peel(e, n)[1] == n:
+                if self._pay(n, len(xs) - done) < len(xs) - done:
+                    parts.append(FUEL)
+                break
             parts.extend(inner(x, y) for y in ys)
         return parts, exact
 
@@ -447,9 +452,7 @@ class Model:
         parts = [self.set_at(s, k)]
         if parts[0].kind == "no":
             return parts[0]
-        parts.append(self.mem_at(a, s, k))
-        parts.append(self._fam(v, s, k))
-        parts.append(self._fam(i, s, k))
+        parts += [self.mem_at(a, s, k), self._fam(v, s, k), self._fam(i, s, k)]
         xs, exact = self.members(s, k)
 
         def fam_c(x, y):
@@ -538,10 +541,7 @@ class Model:
             at = view[2]
             a, m = K.peel(at[0], 1) if len(at) == 2 else (None, 0)
             for y in ys:
-                if not m:
-                    fam = self._at(at, y)
-                else:
-                    fam = (a, at[1]) if self._pay(1, 1) else None
+                fam = ((a, at[1]) if self._pay(1, 1) else None) if m else self._at(at, y)
                 xy = self.apply(x, y)
                 if fam is None or xy is None:
                     parts.append(FUEL)
