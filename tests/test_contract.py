@@ -43,6 +43,12 @@ def _cases() -> dict[str, list[str]]:
         "verify_golden_stage0_structured": [
             "verify", str(CORPUS / "golden.judg"), "--stage", "0",
             "--format", "structured"],
+        "verify_golden_fuel20000_structured": [
+            "verify", str(CORPUS / "golden.judg"), "--fuel", "20000",
+            "--format", "structured"],
+        "verify_golden_stage2_bound4_structured": [
+            "verify", str(CORPUS / "golden.judg"), "--stage", "2",
+            "--bound", "4", "--format", "structured"],
         "eval_syntax_error": ["eval", "succ(0"],
         "eval_superscript_digit": ["eval", "\u00b2"],
         "eval_judgment": ["eval", "term [] |- 0 : N"],
