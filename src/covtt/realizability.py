@@ -240,14 +240,39 @@ def _compile_term(t: PreTerm, names: tuple[str, ...]) -> KTerm | Open:
     return Open(kt) if type(kt) is tuple else kt
 
 
+def _reads(part) -> frozenset[str]:
+    """The env names a compiled pretype or term reads: the free variables
+    of its terms, less the binders inside it."""
+    if type(part) is Pi:
+        return part[4]
+    if type(part) is Open:
+        return part.names
+    if type(part) is not tuple:             # a numeral or a variable
+        return K.kvars(part)
+    if part[0] == "sigma" or part[0] == "pi":
+        return _reads(part[1]) | _reads(part[2]) - {part[3]}
+    if part[0] in ("plus", "list", "Id", "T"):
+        return frozenset().union(*map(_reads, part[1:]))
+    return frozenset()                      # the atomic types
+
+
+class Pi(tuple):
+    """A compiled pi, ("pi", dom, cod, y, names), names being the env names
+    its terms read.  Like Open it hashes by identity, so a memo key holding
+    it is cheap and keeps it alive."""
+    __slots__ = ()
+    __hash__, __eq__, __ne__ = object.__hash__, object.__eq__, object.__ne__
+
+
 def compile_type(ty: PreTerm, names: tuple[str, ...] = ()) -> tuple:
     """The pretype as the tree Model._view reads, made once per judgment: a
-    sigma or pi is (kind, dom, cod, y), an Id endpoint or T code compiled."""
+    sigma is (kind, dom, cod, y), a pi a Pi, an Id endpoint or T code compiled."""
     cls = type(ty)
     if cls is TSigma or cls is TPi:
         y = fresh_name(ty.hint)
-        return ("sigma" if cls is TSigma else "pi", compile_type(ty.dom, names),
+        node = ("sigma" if cls is TSigma else "pi", compile_type(ty.dom, names),
                 compile_type(ty.cod, (*names, y)), y)
+        return node if cls is TSigma else Pi((*node, _reads(node)))
     if cls is TSum:
         return "plus", compile_type(ty.left, names), compile_type(ty.right, names)
     if cls is TList:
@@ -283,6 +308,7 @@ class Model:
         self._apply_memo: dict = {}     # (e, *args) -> (result, steps)
         self._open_memo: dict = {}      # (Open, *its values) -> (result, steps)
         self._table_memo: dict = {}     # sorted table items -> (code, steps)
+        self._scan_memo: dict = {}      # (Pi, *its values) -> (members, steps)
 
     # -- machine helpers ----------------------------------------------------
 
@@ -598,7 +624,7 @@ class Model:
                 out.extend(pair(x0, x1) for x1 in x1s)
             return out, exact
         if kind in ("pi", "U0"):
-            return self.scan(lambda x: self.contains(src, x)), False
+            return self.scan(src), False
         if kind == "plus":
             la, ea = self.elements(view[1])
             lb, eb = self.elements(view[2])
@@ -634,11 +660,33 @@ class Model:
             return [], False
         return got
 
-    def scan(self, test) -> list[int]:
-        """Natural candidates that test says yes to, stopping at SCAN_CAP."""
+    def scan(self, src) -> list[int]:
+        """_scan(src); a Pi's scan is kept per values of the names it reads.
+        Code queries never reach a pretype, so a scan that settled no code
+        query and did not run out read only final answers: a repeat takes
+        its path and its exact steps, which a hit is charged.  A hit the
+        budget cannot pay runs again, to fail where the scan would."""
+        node, env = src
+        if type(node) is not Pi:
+            return self._scan(src)
+        key = (node, *map(env.get, node[4]))
+        budget = self.budget
+        hit = self._scan_memo.get(key)
+        if hit is not None and budget.steps >= hit[1]:
+            budget.charge(hit[1])
+            return hit[0]
+        memos = self._set_memo, self._mem_memo, self._members_memo, self._cover_memo
+        before, asked = budget.steps, sum(map(len, memos))
+        out = self._scan(src)
+        if budget.steps > 0 and sum(map(len, memos)) == asked:
+            self._scan_memo[key] = (out, before - budget.steps)
+        return out
+
+    def _scan(self, src) -> list[int]:
+        """Natural candidates the source contains, stopping at SCAN_CAP."""
         out = []
         for cand in self.nat_candidates():
-            if test(cand).kind == "yes":
+            if self.contains(src, cand).kind == "yes":
                 out.append(cand)
                 if len(out) >= SCAN_CAP:
                     break

@@ -719,6 +719,92 @@ def test_compiled_terms_run_once_per_values(corpus_dir, monkeypatch):
     assert 0 < len(runs) <= 100
 
 
+def test_scan_memo_is_exact(corpus_dir, monkeypatch):
+    """Every verdict, reason and budget left is what it is with every Pi scan
+    run (Model.scan forced to Model._scan): on every judgment of the corpora
+    and the contract files at two flag sets, and on golden lines 27, 72 and
+    91 at fuels across each line's own cost."""
+    contract = corpus_dir.parent / "tests" / "data" / "contract"
+    paths = sorted([*corpus_dir.glob("*.judg"), *contract.glob("*.judg")])
+    memo = Model.scan
+
+    def both(check):
+        monkeypatch.setattr(Model, "scan", memo)
+        kept = check()
+        monkeypatch.setattr(Model, "scan", Model._scan)
+        assert check() == kept
+
+    for stage, bound in ((8, 64), (2, 4)):
+        both(lambda: _verify_lines(monkeypatch, paths, stage=stage, bound=bound))
+    golden = dict(parse_file((corpus_dir / "golden.judg").read_text()))
+    models = []
+
+    class Recording(Model):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            models.append(self)
+
+    monkeypatch.setattr(R, "Model", Recording)
+    for line, cost in ((27, 15199), (72, 262852), (91, 4423)):
+        validate(golden[line])
+        assert K.DEFAULT_FUEL - models.pop().budget.steps == cost, line
+        fuels = (0, cost // 8, cost // 4, cost // 2, cost - 1, cost, K.DEFAULT_FUEL)
+        both(lambda: [(str(validate(golden[line], fuel=fuel)), models.pop().budget.steps)
+                      for fuel in fuels])
+    # the memo is used: line 72 keeps 10 of its 1,870 scans and runs 15
+    monkeypatch.setattr(Model, "scan", memo)
+    validate(golden[72])
+    assert len(models.pop()._scan_memo) == 10
+
+
+def test_code_queries_reach_no_pretype(corpus_dir, monkeypatch):
+    """What the scan memo's keep rule rests on: no pretype source is tested
+    or enumerated while a code query (set_at, mem_at, members or cover_v,
+    each computed in Model._memo) is being computed, so a scan reads no
+    pending code answer.  Over the corpora, the contract judgments and the
+    first 20 codes of test_persistence_of_stages."""
+    depth, seen = [0], {}
+    memo = Model._memo
+
+    def computing(self, *args):
+        depth[0] += 1
+        try:
+            return memo(self, *args)
+        finally:
+            depth[0] -= 1
+
+    def watched(clause):
+        def run(self, src, *args):
+            key = (type(src[0]) is not int, depth[0] > 0)
+            seen[key] = seen.get(key, 0) + 1
+            return clause(self, src, *args)
+        return run
+
+    monkeypatch.setattr(Model, "_memo", computing)
+    monkeypatch.setattr(Model, "_enum", watched(Model._enum))
+    monkeypatch.setattr(Model, "_holds", watched(Model._holds))
+    contract = corpus_dir.parent / "tests" / "data" / "contract"
+    for path in sorted([*corpus_dir.glob("*.judg"), *contract.glob("*.judg")]):
+        try:
+            judgments = parse_file(path.read_text(encoding="utf-8"))
+        except SyntaxError_:
+            continue
+        for _, j in judgments:
+            validate(j)
+    rng = random.Random(60606)
+    for m in [_gen_set_code(rng, rng.randrange(0, 6)) for _ in range(20)]:
+        model = Model(fuel=10 ** 6)
+        first = next((k for k in range(7) if model.set_at(m, k).kind == "yes"), None)
+        if first is None:
+            continue
+        for i in range(65):
+            model.mem_at(i, m, first)
+            model.mem_at(i, m, 8)
+    assert seen.get((True, True), 0) == 0
+    # pretypes at the top, codes under a query: neither side is empty
+    assert seen[True, False] > 0 and seen[False, True] > 0
+
+
 # (stage, bound, fuel) -> the hash of every verdict, reason and budget left
 # at non-default flags; the stages are high enough that no stage cut reaches
 # a judgment verdict
